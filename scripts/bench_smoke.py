@@ -513,12 +513,26 @@ def smoke_storm() -> None:
     from repro.faults.topology import CorrelatedFaultSchedule, FleetTopology
 
     t0 = time.perf_counter()
-    case = {"n_instances": 4, "duration_s": 40.0, "seed": 5, "storm_seed": 7}
-    reference = storm_identity_probe("reference", **case)
-    if storm_identity_probe("fleet", **case) != reference:
-        raise AssertionError("stormed fleet diverged from the scalar reference")
-    if storm_identity_probe("fleet", shards=2, **case) != reference:
-        raise AssertionError("storm results changed with the shard count")
+    # 4 instances are 8 machines (the small-fleet tick); 6 are 12, so
+    # faults also run on the whole-array tick.
+    for n_instances in (4, 6):
+        case = {
+            "n_instances": n_instances,
+            "duration_s": 40.0,
+            "seed": 5,
+            "storm_seed": 7,
+        }
+        reference = storm_identity_probe("reference", **case)
+        if storm_identity_probe("fleet", **case) != reference:
+            raise AssertionError(
+                f"stormed {n_instances}-instance fleet diverged from the "
+                "scalar reference"
+            )
+        if storm_identity_probe("fleet", shards=2, **case) != reference:
+            raise AssertionError(
+                f"{n_instances}-instance storm results changed with the "
+                "shard count"
+            )
     identity_s = time.perf_counter() - t0
 
     config = FleetConfig(duration_s=40.0, shards=2, workers=1, zone_size=2)
@@ -551,9 +565,10 @@ def smoke_storm() -> None:
     if warm.digest != cold.digest:
         raise AssertionError("warm storm digest diverged from the cold run")
     print(
-        f"smoke storm OK: {len(storm)}-event storm bit-identical to the "
-        f"scalar reference, shard-count invariant ({identity_s:.1f}s); "
-        f"cold {cold_s:.1f}s -> warm {warm_s:.3f}s, zero simulations warm"
+        f"smoke storm OK: stormed 4- and 6-instance fleets bit-identical "
+        f"to the scalar reference, shard-count invariant ({identity_s:.1f}s); "
+        f"{len(storm)}-event storm cold {cold_s:.1f}s -> warm "
+        f"{warm_s:.3f}s, zero simulations warm"
     )
 
 

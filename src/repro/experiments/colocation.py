@@ -47,7 +47,7 @@ from repro.metrics.collector import MachineMetrics
 from repro.metrics.percentile import HistogramTailTracker, percentile
 from repro.sim.engine import Engine
 from repro.sim.kernel import (
-    BatchedColocationKernel,
+    FleetColocationKernel,
     percentile_linear,
     resolve_kernel,
 )
@@ -232,9 +232,6 @@ class ColocationExperiment:
         # shared across them (tests prove the identity that justifies
         # this — see tests/test_kernel_identity.py).
         self.kernel = resolve_kernel(kernel)
-        self._batched: Optional[BatchedColocationKernel] = (
-            BatchedColocationKernel(self) if self.kernel == "batched" else None
-        )
         # Optional post-decision hook ``(pod, action) -> action``. Not a
         # config field (it is runtime wiring, like ``kernel``), so cache
         # keys are untouched. The fleet zone governor uses it to clamp
@@ -246,21 +243,13 @@ class ColocationExperiment:
     def run(self) -> ColocationResult:
         """Advance the full experiment and return its result."""
         cfg = self.config
-        if (
-            self._batched is not None
-            and self._fault_injector is None
-            and self._tail_estimator is None
-        ):
-            # Healthy batched runs take the fleet SoA tick path — the
-            # same vectorized phases a fleet shard uses, degenerate at
-            # one instance. Bit-identical to the engine-driven loop
+        if self.kernel == "batched":
+            # Batched runs — healthy, faulted or histogram-estimated —
+            # take the fleet SoA tick path, degenerate at one instance.
+            # Bit-identical to the engine-driven loop below
             # (tests/test_kernel_identity.py pins it), and the tick
             # schedule reproduces the engine's float accumulation, so
-            # events_fired matches too. Faulted or histogram-estimator
-            # runs keep the per-instance kernel: the fleet path
-            # delegates those whole-tick anyway.
-            from repro.sim.kernel import FleetColocationKernel
-
+            # events_fired matches too.
             return FleetColocationKernel([self]).run()[0]
         engine = Engine()
         load_sum = [0.0]
@@ -284,9 +273,6 @@ class ColocationExperiment:
         )
 
     def _tick(self, t: float, dt: float) -> None:
-        if self._batched is not None:
-            self._batched.tick(t, dt)
-            return
         window = self._begin_tick(t, dt)
         load = window.load
         realized = window.realized_load
@@ -334,7 +320,7 @@ class ColocationExperiment:
         self._advance_be(dt, snapshots)
         self._control_phase(t, dt, load, tail_ms, window_closed, snapshots, usages)
 
-    # -- shared tick phases (used by both kernels) ----------------------------
+    # -- tick phases (_begin_tick / _window_tail are shared with the SoA kernels)
 
     def _begin_tick(self, t: float, dt: float):
         """Phase 0: the world degrades before anyone observes it — fault

@@ -135,7 +135,8 @@ class FleetInstanceSpec:
     pattern: LoadPattern
     #: Root seed of the instance's private RNG streams.
     seed: int = 0
-    #: Optional per-instance fault schedule (delegated tick path).
+    #: Optional per-instance fault schedule; its effects ride the fleet
+    #: SoA tick as per-machine fault columns.
     faults: Optional[FaultSchedule] = None
 
 
@@ -812,7 +813,6 @@ class FleetExperiment:
         for index, spec in enumerate(self.instances):
             experiment = _build_experiment(spec, self.config)
             experiment.kernel = "scalar"
-            experiment._batched = None
             result = experiment.run()
             summaries.append(_summarise(index, spec, experiment, result))
         return FleetResult(

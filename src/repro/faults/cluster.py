@@ -34,6 +34,7 @@ compose deterministically regardless of apply/revert order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
@@ -81,6 +82,8 @@ class ClusterFaultInjector:
         self._taken: Dict[Tuple[str, int], int] = {}
         self._active: List[Tuple[str, FaultSpec]] = []
         self.events: List[FaultEvent] = []
+        #: Earliest time at which :meth:`advance` has anything to do.
+        self.next_transition_s = self._next_due()
 
     # -- time advance ------------------------------------------------------
 
@@ -113,17 +116,44 @@ class ClusterFaultInjector:
             transitions += 1
         if transitions:
             self._recompute_derived()
+        self.next_transition_s = self._next_due()
         return transitions
+
+    def _next_due(self) -> float:
+        """Smallest ``t`` for which :meth:`advance` would act: the first
+        active window's end or the next pending window's start."""
+        due = min((spec.end_s for _, spec in self._active), default=math.inf)
+        if self._next < len(self._pending):
+            due = min(due, self._pending[self._next][1].at_s)
+        return due
 
     # -- observation hooks (read by the co-location loop) ------------------
 
-    def stall_factor(self, machine_name: str) -> float:
-        """Product of active stall slowdowns on ``machine_name`` (>= 1)."""
+    def effects(self, machine_name: str) -> Tuple[float, bool, float]:
+        """``(extra_llc, has_nic_fault, stall_factor)`` on ``machine_name``.
+
+        The active-set terms :meth:`adjust_pressure` and
+        :meth:`stall_factor` fold in; they only move when :meth:`advance`
+        performs a transition, so SoA callers cache them between
+        transitions.
+        """
+        extra_llc = 0.0
+        has_nic_fault = False
         factor = 1.0
         for name, spec in self._active:
-            if name == machine_name and spec.kind is FaultKind.MACHINE_STALL:
+            if name != machine_name:
+                continue
+            if spec.kind is FaultKind.LLC_WAY_LOSS:
+                extra_llc += spec.magnitude
+            elif spec.kind is FaultKind.NIC_DEGRADE:
+                has_nic_fault = True
+            elif spec.kind is FaultKind.MACHINE_STALL:
                 factor *= 1.0 + STALL_SLOWDOWN_SPAN * spec.magnitude
-        return factor
+        return extra_llc, has_nic_fault, factor
+
+    def stall_factor(self, machine_name: str) -> float:
+        """Product of active stall slowdowns on ``machine_name`` (>= 1)."""
+        return self.effects(machine_name)[2]
 
     def adjust_pressure(self, machine: Machine, pressure: Pressure) -> Pressure:
         """Fold active fault effects into the LC's residual pressure.
@@ -132,16 +162,7 @@ class ClusterFaultInjector:
         controller can only see through the interference they cause —
         this is where they enter the latency model.
         """
-        name = machine.spec.name
-        extra_llc = 0.0
-        has_nic_fault = False
-        for active_name, spec in self._active:
-            if active_name != name:
-                continue
-            if spec.kind is FaultKind.LLC_WAY_LOSS:
-                extra_llc += spec.magnitude
-            elif spec.kind is FaultKind.NIC_DEGRADE:
-                has_nic_fault = True
+        extra_llc, has_nic_fault, _ = self.effects(machine.spec.name)
         if extra_llc <= 0 and not has_nic_fault:
             return pressure
         llc = min(1.0, pressure.llc + extra_llc)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
@@ -47,6 +48,22 @@ class FaultKind(enum.Enum):
 DEFAULT_KINDS: Tuple[FaultKind, ...] = tuple(FaultKind)
 
 
+def _require_finite(what: str, at_s, duration_s, magnitude) -> None:
+    """Reject NaN/inf windows and severities.
+
+    A NaN start compares false against every tick time (so the fault
+    would apply on the first tick and, with a NaN end, never revert),
+    and NaN sort keys make schedule order depend on input order.
+    """
+    for field_name, value in (
+        ("at_s", at_s),
+        ("duration_s", duration_s),
+        ("magnitude", magnitude),
+    ):
+        if not math.isfinite(value):
+            raise FaultError(f"{what} {field_name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One declarative fault: kind, target machine, window, severity."""
@@ -62,6 +79,7 @@ class FaultSpec:
             raise FaultError(f"kind must be a FaultKind, got {self.kind!r}")
         if not self.target:
             raise FaultError("fault target must be a machine name or '*'")
+        _require_finite("fault", self.at_s, self.duration_s, self.magnitude)
         if self.at_s < 0:
             raise FaultError(f"fault start must be >= 0, got {self.at_s}")
         if self.duration_s <= 0:

@@ -43,6 +43,7 @@ from repro.faults.spec import (
     FaultSchedule,
     FaultSpec,
     _derived_rng,
+    _require_finite,
 )
 
 
@@ -314,6 +315,7 @@ class DomainEvent:
             raise FaultError(f"kind must be a DomainKind, got {self.kind!r}")
         if self.domain < 0:
             raise FaultError(f"domain id must be >= 0, got {self.domain}")
+        _require_finite("event", self.at_s, self.duration_s, self.magnitude)
         if self.at_s < 0:
             raise FaultError(f"event start must be >= 0, got {self.at_s}")
         if self.duration_s <= 0:

@@ -17,8 +17,10 @@ and drains whole ticks with vectorized operations:
 - :func:`drain_fifo_queue` replays the G/G/c FIFO event loop as a
   Lindley start-time recurrence over plain floats plus vectorized
   sojourn/wait extraction — no engine, no per-request closures.
-- :class:`BatchedColocationKernel` composes the pieces into a drop-in
-  replacement for the scalar ``ColocationExperiment._tick``.
+- :class:`BatchedColocationKernel` composes the pieces into the
+  controller-independent half of the scalar ``ColocationExperiment._tick``
+  (faults, load window, physics, latency draws, BE progress), which the
+  bake-off shares across controller sets.
 - :class:`FleetColocationKernel` lifts the same idea across *machines*:
   it runs many ``ColocationExperiment`` instances in lockstep, holding
   one contiguous (machines × job-slots) array family for BE rates and
@@ -655,7 +657,7 @@ def percentile_linear_rows(stack: np.ndarray, pct: float) -> List[float]:
 
 
 class BatchedColocationKernel:
-    """Drop-in batched implementation of ``ColocationExperiment._tick``.
+    """Batched phases 0-3 of ``ColocationExperiment._tick`` (see :meth:`observe`).
 
     The experiment's world objects (machines, pools, subcontrollers,
     fault injector, metrics) stay authoritative and are mutated through
@@ -718,14 +720,6 @@ class BatchedColocationKernel:
         )
         self._counter_cache[pod] = (machine.version, gauges)
         return gauges
-
-    def tick(self, t: float, dt: float) -> None:
-        """One control period, bit-identical to the scalar ``_tick``."""
-        exp = self._exp
-        load, tail_ms, window_closed, snapshots, usages = self.observe(t, dt)
-        exp._control_phase(
-            t, dt, load, tail_ms, window_closed, snapshots, usages
-        )
 
     def observe(
         self, t: float, dt: float
@@ -862,22 +856,22 @@ class FleetColocationKernel:
     Identity contract (the PR-2/PR-6 pattern, fleet-wide): running
     ``FleetColocationKernel([e1, .., ek]).run()`` is bit-identical —
     results, metrics, controller history, final RNG states — to running
-    ``e1.run(); ..; ek.run()`` sequentially. Instances with fault
-    schedules or histogram tail estimators are *delegated*: their whole
-    ticks run through their own (already identity-pinned) per-instance
-    path, interleaved on the same lockstep clock, so mixed fleets
-    compose without weakening the pin.
+    ``e1.run(); ..; ek.run()`` sequentially, with or without fault
+    schedules and histogram tail estimators.
 
     How the vectorized path keeps the pin:
 
     - world mutation (launch/kill/grow/shrink/suspend/resume) goes
       through the *same* subcontroller code on the shared machines and
       pools; the SoA job mirror is invalidated by ``Machine.version``;
-    - subcontroller applies are memoized per machine on ``(action,
-      version, mem_version)``: a key can only enter the memo set after
-      an execution that provably changed nothing, so skipping a repeat
-      cannot change state (STOP is never memoized — its DVFS reset is a
-      side effect the key cannot witness);
+    - subcontroller applies are memoized per machine on no-op keys: a
+      key can only enter the memo set after an execution that provably
+      changed nothing, so skipping a repeat cannot change state (STOP is
+      never memoized — its DVFS reset is a side effect the key cannot
+      witness). Healthy fleets key on ``(action, version, mem_version)``;
+      faulted fleets use :func:`_memo_key`, the bake-off's key, whose
+      fault-held core/way counts witness the capacity that fault
+      windows take and restore without bumping ``Machine.version``;
     - BE progress integrates in-place in SoA (elementwise float64 ==
       python-float arithmetic) and is flushed back to the ``BeJob``
       objects before any apply that might read or rearrange them;
@@ -888,16 +882,31 @@ class FleetColocationKernel:
       vectorized ``np.power`` is known to differ by 1 ulp;
     - per-window tails group instances by ``(n_samples, percentile)``
       and reduce with one ``np.percentile(stack, pct, axis=1)`` call,
-      bitwise equal per row to the scalar per-instance call;
+      bitwise equal per row to the scalar per-instance call; instances
+      with a histogram estimator reduce through their own
+      ``_window_tail``;
     - metric columns (one ``(machines,)`` array per tick) integrate
       vectorized and only materialise into ``TickSample`` objects and
       window-tail replays once, at the end of the run.
 
+    Faults ride the same tick. Each instance's ``ClusterFaultInjector``
+    still advances in ``_begin_tick`` and still mutates the shared
+    machines; the kernel mirrors its effects into per-machine fault
+    columns — effective link (NIC scale), NIC-shortfall flag, extra LLC
+    pressure, stall factor, BE DVFS cap, LC frequency pressure and LC
+    power cube — reloaded only on ticks where ``advance`` performs a
+    transition. On such a tick the instance's BE progress is flushed to
+    the ``BeJob`` objects *before* ``advance`` runs (``offline_cores``
+    shrinks jobs), and its rows are rebuilt afterwards. The pressure
+    fold then equals ``adjust_pressure`` + ``stall_factor`` on the
+    object path, and the cap clamps the BE frequency column wherever it
+    is read. A fleet without injectors skips all of it.
+
     All experiments must share ``duration_s`` and ``control_period_s``
     (one lockstep clock). ``on_tick(tick_index, t, loads, closed,
-    tails, be_rates)`` — lists indexed like ``experiments`` — fires
-    after each control phase; a fleet-level governor may mutate the
-    experiments' ``action_filter`` there, taking effect next tick.
+    tails, be_rates)`` — read-only lists indexed like ``experiments`` —
+    fires after each control phase; a fleet-level governor may mutate
+    the experiments' ``action_filter`` there, taking effect next tick.
     """
 
     def __init__(
@@ -922,13 +931,11 @@ class FleetColocationKernel:
                     "fleet experiments must share duration_s and "
                     "control_period_s (one lockstep clock)"
                 )
-        self._del_idx = [
-            i
-            for i, exp in enumerate(self._exps)
-            if exp._fault_injector is not None or exp._tail_estimator is not None
+        self._injectors = [exp._fault_injector for exp in self._exps]
+        self._faulted = any(inj is not None for inj in self._injectors)
+        self._histogram = [
+            exp._tail_estimator is not None for exp in self._exps
         ]
-        delegated = set(self._del_idx)
-        self._vec_idx = [i for i in range(len(self._exps)) if i not in delegated]
 
         # -- machine-major bookkeeping (global machine index m) -------------
         # Machine *names* collide across experiments (deploy_service
@@ -939,39 +946,32 @@ class FleetColocationKernel:
         self._m_run: List = []
         self._m_mach: List[Machine] = []
         self._inst_machines: List[List[int]] = []
-        m_vi: List[int] = []
-        for vi, i in enumerate(self._vec_idx):
-            exp = self._exps[i]
+        for i, exp in enumerate(self._exps):
             rows: List[int] = []
             for pod in exp._runs:
                 rows.append(len(self._m_pod))
                 self._m_pod.append(pod)
                 self._m_i.append(i)
-                m_vi.append(vi)
                 self._m_run.append(exp._runs[pod])
                 self._m_mach.append(exp.deployment.servpod(pod).machine)
             self._inst_machines.append(rows)
         M = len(self._m_pod)
         self._n_machines = M
-        self._m_vi_arr = np.asarray(m_vi, dtype=np.intp)
+        self._m_i_arr = np.asarray(self._m_i, dtype=np.intp)
 
-        self._samplers = [
-            BatchedServiceSampler(self._exps[i].service) for i in self._vec_idx
-        ]
-        self._tail_pct = [
-            self._exps[i].spec.tail_percentile for i in self._vec_idx
-        ]
+        self._samplers = [BatchedServiceSampler(exp.service) for exp in self._exps]
+        self._tail_pct = [exp.spec.tail_percentile for exp in self._exps]
 
         jmax = 1
-        for i in self._vec_idx:
-            jmax = max(jmax, int(self._exps[i].config.max_be_instances))
+        for exp in self._exps:
+            jmax = max(jmax, int(exp.config.max_be_instances))
         self._jmax = jmax
 
-        # -- static per-machine parameters ----------------------------------
+        # -- per-machine parameters -----------------------------------------
         busy_c: List[float] = []
         membw_c: List[float] = []
         net_c: List[float] = []
-        link_nic: List[float] = []
+        link_eff: List[float] = []
         link_spec: List[float] = []
         guard: List[float] = []
         cores_f: List[float] = []
@@ -995,7 +995,7 @@ class FleetColocationKernel:
             busy_c.append(bc)
             membw_c.append(mc)
             net_c.append(nc)
-            link_nic.append(machine.nic.link_gbps)
+            link_eff.append(machine.nic.effective_link_gbps)
             link_spec.append(machine.spec.link_gbps)
             guard.append(machine.nic.lc_guard_factor)
             self._cores_i.append(machine.spec.cores)
@@ -1027,7 +1027,7 @@ class FleetColocationKernel:
         self._busy_coeff = np.asarray(busy_c)
         self._membw_coeff = np.asarray(membw_c)
         self._net_coeff = np.asarray(net_c)
-        self._link_nic = np.asarray(link_nic)
+        self._link_eff = np.asarray(link_eff)
         self._link_spec = np.asarray(link_spec)
         self._guard = np.asarray(guard)
         self._cores_farr = np.asarray(cores_f)
@@ -1040,7 +1040,22 @@ class FleetColocationKernel:
         self._f_max = np.asarray(f_max, dtype=np.int64)
         self._f_step = np.asarray(f_step, dtype=np.int64)
         self._f_max_l = f_max
+        # The governor's *requested* BE frequency; a fault cap clamps
+        # what the hardware runs at (``min(freq, cap)``) without
+        # overwriting the request, exactly like ``DvfsGovernor``.
         self._freq = np.asarray(f_now, dtype=np.int64)
+
+        # -- fault columns (refreshed on fault transitions only) ------------
+        # Healthy values are the identity of every op they enter:
+        # ``min(freq, f_max) == freq``, ``p_freq == 0.0``, ``x * 1.0``.
+        self._f_cap = np.asarray(f_max, dtype=np.int64)
+        self._f_cap_l: List[int] = list(f_max)
+        self._r3_lc = np.ones(M)
+        self._r3_lc_l: List[float] = [1.0] * M
+        self._p_freq_l: List[float] = [0.0] * M
+        self._extra_llc_l: List[float] = [0.0] * M
+        self._nic_fault_l: List[bool] = [False] * M
+        self._stall_l: List[float] = [1.0] * M
 
         # (freq / max) ** 3 lookup, computed with *python* pow: the
         # vectorized cube diverges from the scalar path by 1 ulp.
@@ -1108,7 +1123,6 @@ class FleetColocationKernel:
         # satisfy the same identity pin. State lives in python twins of
         # the SoA columns; each mode touches only its own storage.
         self._small = M <= _SMALL_FLEET_MACHINES
-        self._m_vi = m_vi
         self._rows_py: List[Tuple] = [() for _ in range(M)]
         self._nw_py: List[List[float]] = [[] for _ in range(M)]
         self._rs_py: List[List[float]] = [[] for _ in range(M)]
@@ -1122,7 +1136,7 @@ class FleetColocationKernel:
         self._busy_c_l = busy_c
         self._membw_c_l = membw_c
         self._net_c_l = net_c
-        self._link_nic_l = link_nic
+        self._link_eff_l = link_eff
         self._link_spec_l = link_spec
         self._guard_l = guard
         self._cores_f_l = cores_f
@@ -1294,9 +1308,15 @@ class FleetColocationKernel:
         )
 
     def _flush_row(self, m: int) -> None:
-        """Write accumulated BE progress back into the ``BeJob`` objects."""
+        """Write accumulated BE progress back into the ``BeJob`` objects.
+
+        A dirty row is skipped: its objects are already authoritative
+        (flushed right before the apply that dirtied it, which may have
+        killed jobs and clawed their in-flight work back), and no
+        progress accrues until the row is rebuilt.
+        """
         jobs = self._row_jobs[m]
-        if not jobs:
+        if not jobs or m in self._dirty:
             return
         if self._small:
             nw = self._nw_py[m]
@@ -1308,48 +1328,155 @@ class FleetColocationKernel:
             job.normalized_work = nw[j]
             job.running_seconds = rs[j]
 
+    def _refresh_faults(self, i: int) -> None:
+        """Reload instance ``i``'s fault columns after a transition.
+
+        Reads back exactly what the object path consults per tick —
+        ``ClusterFaultInjector.effects``, the NIC's effective link, the
+        DVFS caps — all of which only move inside ``advance``. The
+        instance's rows are marked dirty: ``offline_cores`` may have
+        shrunk its BE jobs (its progress was flushed before ``advance``).
+        """
+        injector = self._injectors[i]
+        for m in self._inst_machines[i]:
+            machine = self._m_mach[m]
+            extra_llc, nic_fault, stall = injector.effects(machine.spec.name)
+            self._extra_llc_l[m] = extra_llc
+            self._nic_fault_l[m] = nic_fault
+            self._stall_l[m] = stall
+            link = machine.nic.effective_link_gbps
+            self._link_eff_l[m] = link
+            self._link_eff[m] = link
+            cap = machine.dvfs.cap(BE_DOMAIN)
+            f_cap = self._f_max_l[m] if cap is None else cap
+            self._f_cap_l[m] = f_cap
+            self._f_cap[m] = f_cap
+            lc_ratio = machine.dvfs.ratio(LC_DOMAIN)
+            self._p_freq_l[m] = max(0.0, 1.0 - lc_ratio)
+            r3_lc = lc_ratio**3
+            self._r3_lc_l[m] = r3_lc
+            self._r3_lc[m] = r3_lc
+            self._dirty.add(m)
+
+    def _begin_windows(
+        self, t: float, dt: float
+    ) -> Tuple[List[float], List[float], List[int]]:
+        """Phase 0 for every instance: fault transitions, load windows.
+
+        Returns per-instance ``(load, realized_load, n_samples)``. On a
+        faulted instance's transition tick its (clean) rows are flushed
+        to the ``BeJob`` objects *before* ``advance`` runs inside
+        ``_begin_tick``, so the rebuild that follows reloads current
+        progress.
+        """
+        n = len(self._exps)
+        w_load: List[float] = [0.0] * n
+        w_real: List[float] = [0.0] * n
+        w_n: List[int] = [0] * n
+        injectors = self._injectors
+        for i, exp in enumerate(self._exps):
+            injector = injectors[i]
+            if injector is not None and t >= injector.next_transition_s:
+                for m in self._inst_machines[i]:
+                    self._flush_row(m)
+                n_events = len(injector.events)
+                window = exp._begin_tick(t, dt)
+                if len(injector.events) != n_events:
+                    self._refresh_faults(i)
+            else:
+                window = exp._begin_tick(t, dt)
+            w_load[i] = window.load
+            w_real[i] = window.realized_load
+            w_n[i] = window.n_samples
+        if self._dirty:
+            for m in sorted(self._dirty):
+                self._rebuild_row(m)
+            self._dirty.clear()
+        return w_load, w_real, w_n
+
     # -- one lockstep tick ---------------------------------------------------
 
     def tick(self, tick_index: int, t: float, dt: float, last: bool) -> None:
         """One control period across the whole fleet."""
-        exps = self._exps
-        n_exp = len(exps)
-        loads: List[float] = [0.0] * n_exp
-        tails: List[float] = [0.0] * n_exp
-        closed: List[bool] = [False] * n_exp
-        want_obs = self._on_tick is not None
-        be_rates: List[float] = [0.0] * n_exp
-
-        # Delegated instances: whole per-instance ticks on the shared
-        # clock (cross-instance order is irrelevant — streams, machines
-        # and pools are per-instance).
-        for i in self._del_idx:
-            exp = exps[i]
-            run0 = next(iter(exp._runs.values()))
-            n_wins = len(run0.metrics.tail._per_window)
-            exp._tick(t, dt)
-            sample = run0.metrics.samples[-1]
-            loads[i] = sample.load
-            tails[i] = sample.tail_ms
-            closed[i] = len(run0.metrics.tail._per_window) > n_wins
-            if want_obs:
-                rate_sum = 0.0
-                for run in exp._runs.values():
-                    rate_sum += run.last_snapshot.total_rate
-                be_rates[i] = rate_sum
-
-        vec = self._vec_idx
-        if vec:
-            if self._small:
-                self._tick_small(
-                    t, dt, last, loads, tails, closed, be_rates, want_obs
-                )
-            else:
-                self._tick_vec(
-                    t, dt, last, loads, tails, closed, be_rates, want_obs
-                )
-        if want_obs:
+        step = self._tick_small if self._small else self._tick_vec
+        loads, closed, tails, be_rates = step(
+            t, dt, last, self._on_tick is not None
+        )
+        if self._on_tick is not None:
             self._on_tick(tick_index, t, loads, closed, tails, be_rates)
+
+    def _slowdowns(
+        self,
+        real_l: List[float],
+        membw_l: List[float],
+        net_l: List[float],
+        lc_net_l: Optional[List[float]],
+    ) -> Tuple[List[float], List[float]]:
+        """Pressure -> slowdown -> sigma inflation, python per machine.
+
+        The fused form of ``Pressure.from_be_snapshot`` →
+        ``adjust_pressure`` → ``InterferenceModel.slowdown`` →
+        ``*= stall_factor`` → ``sigma_inflation``: same expressions, same
+        fold order (``x ** gamma`` and the impact fold must stay python).
+        ``lc_net_l`` (per-machine LC traffic demand) is only read by
+        faulted fleets, for the NIC shortfall.
+        """
+        M = self._n_machines
+        faulted = self._faulted
+        slow_l: List[float] = [1.0] * M
+        infl_l: List[float] = [1.0] * M
+        p_cpu_l = self._p_cpu_l
+        p_llc_l = self._p_llc_l
+        for m in range(M):
+            p_cpu = p_cpu_l[m]
+            p_llc = p_llc_l[m]
+            p_membw = membw_l[m]
+            p_net = net_l[m]
+            # Healthy machines: the LC DVFS domain is never capped, so
+            # its ratio is bitwise 1.0 and the frequency term is 0.0.
+            p_freq = 0.0
+            if faulted:
+                p_freq = self._p_freq_l[m]
+                extra_llc = self._extra_llc_l[m]
+                nic_fault = self._nic_fault_l[m]
+                if extra_llc > 0.0 or nic_fault:
+                    p_llc = min(1.0, p_llc + extra_llc)
+                    if nic_fault:
+                        demand = lc_net_l[m]
+                        shortfall = 0.0
+                        if demand > 0.0:
+                            shortfall = (
+                                max(0.0, demand - self._link_eff_l[m]) / demand
+                            )
+                        p_net = min(1.0, max(p_net, shortfall))
+            coeffs, gamma, beta, hroom, coup, cap = self._pconst[m]
+            if (
+                p_cpu == 0.0
+                and p_llc == 0.0
+                and p_membw == 0.0
+                and p_net == 0.0
+                and p_freq == 0.0
+            ):
+                slow = 1.0
+            else:
+                impact = coeffs[0] * p_cpu**gamma
+                impact = impact + coeffs[1] * p_llc**gamma
+                impact = impact + coeffs[2] * p_membw**gamma
+                impact = impact + coeffs[3] * p_net**gamma
+                impact = impact + coeffs[4] * p_freq**gamma
+                lo = real_l[m]
+                if lo < 0.0:
+                    lo = 0.0
+                elif lo > 1.0:
+                    lo = 1.0
+                amp = 1.0 + beta * lo / (hroom + (1.0 - lo))
+                slow = 1.0 + amp * impact
+            if faulted:
+                slow *= self._stall_l[m]
+            slow_l[m] = slow
+            infl = 1.0 + coup * (slow - 1.0)
+            infl_l[m] = infl if infl < cap else cap
+        return slow_l, infl_l
 
     def _sample_tails(
         self,
@@ -1358,58 +1485,52 @@ class FleetColocationKernel:
         slow_l: List[float],
         infl_l: List[float],
     ) -> Tuple[List[bool], List[float]]:
-        """Latency sampling + window tails for every vectorized instance.
+        """Latency sampling + window tails for every instance.
 
         Per-instance RNG draws stay sequential (stream identity); the
         tail reduction groups instances by ``(n_samples, percentile)``
         and runs one partitioned percentile per group, bitwise equal to
-        the scalar per-instance ``np.percentile`` call.
+        the scalar per-instance ``np.percentile`` call. Instances with a
+        histogram estimator feed it through their own ``_window_tail``.
         """
-        vec = self._vec_idx
+        n_exp = len(self._exps)
+        closed = [False] * n_exp
+        tails = [0.0] * n_exp
         groups: Dict[Tuple[int, float], Tuple[List[int], List[np.ndarray]]] = {}
-        for vi in range(len(vec)):
-            n = w_n[vi]
+        for i in range(n_exp):
+            n = w_n[i]
             if n <= 0:
                 continue
             slowdowns: Dict[str, float] = {}
             inflations: Dict[str, float] = {}
-            for m in self._inst_machines[vi]:
+            for m in self._inst_machines[i]:
                 pod = self._m_pod[m]
                 slowdowns[pod] = slow_l[m]
                 inflations[pod] = infl_l[m]
-            lat = self._samplers[vi].sample_e2e(
-                w_real[vi], n, slowdowns, inflations
-            )
-            key = (n, self._tail_pct[vi])
+            lat = self._samplers[i].sample_e2e(w_real[i], n, slowdowns, inflations)
+            closed[i] = True
+            if self._histogram[i]:
+                tails[i] = self._exps[i]._window_tail(lat)
+                continue
+            key = (n, self._tail_pct[i])
             bucket = groups.get(key)
             if bucket is None:
                 bucket = ([], [])
                 groups[key] = bucket
-            bucket[0].append(vi)
+            bucket[0].append(i)
             bucket[1].append(lat)
-        closed_vec = [False] * len(vec)
-        tails_vec = [0.0] * len(vec)
-        for (_n, pct), (vis, lats) in groups.items():
+        for (_n, pct), (members, lats) in groups.items():
             if len(lats) == 1:
                 vals = [percentile_linear(lats[0], pct)]
             else:
                 vals = percentile_linear_rows(np.stack(lats), pct)
-            for vi, tail in zip(vis, vals):
-                closed_vec[vi] = True
-                tails_vec[vi] = tail
-        return closed_vec, tails_vec
+            for i, tail in zip(members, vals):
+                tails[i] = tail
+        return closed, tails
 
     def _tick_small(
-        self,
-        t: float,
-        dt: float,
-        last: bool,
-        loads: List[float],
-        tails: List[float],
-        closed: List[bool],
-        be_rates: List[float],
-        want_obs: bool,
-    ) -> None:
+        self, t: float, dt: float, last: bool, want_obs: bool
+    ) -> Tuple[List[float], List[bool], List[float], List[float]]:
         """Per-machine python tick for small fleets.
 
         Identical arithmetic to :meth:`_tick_vec`, operand for operand:
@@ -1421,30 +1542,16 @@ class FleetColocationKernel:
         NaN and no tie mixes signed zeros.
         """
         exps = self._exps
-        vec = self._vec_idx
         M = self._n_machines
-        m_vi = self._m_vi
+        m_i = self._m_i
+        faulted = self._faulted
 
-        # Phase 0: load windows (per-instance RNG, python).
-        w_load: List[float] = [0.0] * len(vec)
-        w_real: List[float] = [0.0] * len(vec)
-        w_n: List[int] = [0] * len(vec)
-        for vi, i in enumerate(vec):
-            window = exps[i]._begin_tick(t, dt)
-            w_load[vi] = window.load
-            w_real[vi] = window.realized_load
-            w_n[vi] = window.n_samples
-            loads[i] = window.load
-
-        if self._dirty:
-            for m in sorted(self._dirty):
-                self._rebuild_row(m)
-            self._dirty.clear()
+        # Phase 0: fault transitions + load windows (per-instance RNG).
+        w_load, w_real, w_n = self._begin_windows(t, dt)
 
         # Phases 1 + 3 fused per machine: LC usage, NIC caps, headroom
-        # shares, Leontief rates, BE progress, pressure -> slowdown.
-        slow_l: List[float] = [1.0] * M
-        infl_l: List[float] = [1.0] * M
+        # shares, Leontief rates, BE progress.
+        real_l: List[float] = [0.0] * M
         membw_l: List[float] = [0.0] * M
         net_l: List[float] = [0.0] * M
         lc_busy_l: List[float] = [0.0] * M
@@ -1455,15 +1562,16 @@ class FleetColocationKernel:
         membw_tot_l: List[float] = [0.0] * M
         load_m: List[float] = [0.0] * M
         for m in range(M):
-            vi = m_vi[m]
-            real = w_real[vi]
-            load_m[m] = w_load[vi]
+            i = m_i[m]
+            real = w_real[i]
+            real_l[m] = real
+            load_m[m] = w_load[i]
             lc_busy = self._busy_c_l[m] * real
             lc_membw = self._membw_c_l[m] * real
             if lc_membw > 1.0:
                 lc_membw = 1.0
             lc_net = self._net_c_l[m] * real
-            link = self._link_nic_l[m]
+            link = self._link_eff_l[m]
             lc_sent = lc_net if lc_net < link else link
             be_cap = link - self._guard_l[m] * lc_sent
             if be_cap < 0.0:
@@ -1484,7 +1592,10 @@ class FleetColocationKernel:
                 net_scale = be_cap_frac / nd
                 if net_scale > 1.0:
                     net_scale = 1.0
-            fratio = self._freq_py[m] / self._f_max_l[m]
+            freq = self._freq_py[m]
+            if faulted and self._f_cap_l[m] < freq:
+                freq = self._f_cap_l[m]
+            fratio = freq / self._f_max_l[m]
             (cpu_b, req_c, llc_r, mbw, mbw_m, mbw_d,
              net_b, net_m, net_d) = self._rows_py[m]
             nw = self._nw_py[m]
@@ -1519,30 +1630,8 @@ class FleetColocationKernel:
                 nw[j] = nw[j] + dt * r
                 rs[j] = rs[j] + dt
             snap_membw = membw_used if membw_used < 1.0 else 1.0
-            snap_net = net_used if net_used < 1.0 else 1.0
-            p_cpu = self._p_cpu_l[m]
-            p_llc = self._p_llc_l[m]
-            coeffs, gamma, beta, hroom, coup, cap = self._pconst[m]
-            if p_cpu == 0.0 and p_llc == 0.0 and snap_membw == 0.0 and snap_net == 0.0:
-                slow = 1.0
-            else:
-                impact = coeffs[0] * p_cpu**gamma
-                impact = impact + coeffs[1] * p_llc**gamma
-                impact = impact + coeffs[2] * snap_membw**gamma
-                impact = impact + coeffs[3] * snap_net**gamma
-                impact = impact + coeffs[4] * 0.0**gamma
-                lo = real
-                if lo < 0.0:
-                    lo = 0.0
-                elif lo > 1.0:
-                    lo = 1.0
-                amp = 1.0 + beta * lo / (hroom + (1.0 - lo))
-                slow = 1.0 + amp * impact
-            slow_l[m] = slow
-            infl = 1.0 + coup * (slow - 1.0)
-            infl_l[m] = infl if infl < cap else cap
             membw_l[m] = snap_membw
-            net_l[m] = snap_net
+            net_l[m] = net_used if net_used < 1.0 else 1.0
             lc_busy_l[m] = lc_busy
             lc_net_l[m] = lc_net
             rate_rows[m] = rates
@@ -1560,11 +1649,10 @@ class FleetColocationKernel:
             self._membw_int_l[m] += membw_tot * dt
         self._elapsed += dt
 
-        # Phase 2: latency sampling (shared with the vectorized path).
-        closed_vec, tails_vec = self._sample_tails(w_real, w_n, slow_l, infl_l)
-        for vi, i in enumerate(vec):
-            tails[i] = tails_vec[vi]
-            closed[i] = closed_vec[vi]
+        # Phase 1d + 2: slowdowns, then latency sampling (both shared
+        # with the vectorized path).
+        slow_l, infl_l = self._slowdowns(real_l, membw_l, net_l, lc_net_l)
+        closed, tails = self._sample_tails(w_real, w_n, slow_l, infl_l)
 
         # Deferred metrics: python columns; counters copied before the
         # applies, like the scalar record_tick.
@@ -1572,7 +1660,7 @@ class FleetColocationKernel:
             (
                 t,
                 load_m,
-                [tails_vec[m_vi[m]] for m in range(M)],
+                [tails[m_i[m]] for m in range(M)],
                 busy_tot_l,
                 membw_tot_l,
                 rate_tot_l,
@@ -1582,17 +1670,17 @@ class FleetColocationKernel:
                 list(self._njobs_l),
             )
         )
-        self._wins.append((closed_vec, tails_vec))
+        self._wins.append((closed, tails))
 
         # Phase 4: control (same memoized-apply loop as the vec path).
         acts: List[str] = [""] * M
         stop = BeAction.STOP_BE
         for m in range(M):
-            i = self._m_i[m]
+            i = m_i[m]
             exp = exps[i]
             run = self._m_run[m]
             machine = self._m_mach[m]
-            action = run.controller.decide(loads[i], tails[i], t=t)
+            action = run.controller.decide(w_load[i], tails[i], t=t)
             filt = exp.action_filter
             if filt is not None:
                 action = filt(self._m_pod[m], action)
@@ -1609,7 +1697,10 @@ class FleetColocationKernel:
                     rates=dict(zip(ids, rate_rows[m][: len(ids)])),
                 )
             memo = self._memo[m]
-            key = (action, machine.version, machine.mem_version)
+            if faulted:
+                key = _memo_key(self._m_pod[m], action, machine)
+            else:
+                key = (action, machine.version, machine.mem_version)
             if key in memo:
                 continue
             self._flush_row(m)
@@ -1629,17 +1720,23 @@ class FleetColocationKernel:
         self._acts.append(acts)
 
         # Phase 5: frequency subcontroller per machine (post-apply BE
-        # core counts, python pow cube — same table the vec path uses).
+        # core counts, python pow cube — same table the vec path uses;
+        # steps start from the capped frequency, like the governor's).
         r3_cache = self._r3_cache
         for m in range(M):
             f = self._freq_py[m]
+            lc_term = lc_busy_l[m]
+            if faulted:
+                if self._f_cap_l[m] < f:
+                    f = self._f_cap_l[m]
+                lc_term = lc_term * self._r3_lc_l[m]
             mx = self._f_max_l[m]
             v = r3_cache.get((f, mx))
             if v is None:
                 v = (f / mx) ** 3
                 r3_cache[(f, mx)] = v
             power = self._idle_l[m] + self._active_l[m] * (
-                lc_busy_l[m] + self._cnt_cores_l[m] * v
+                lc_term + self._cnt_cores_l[m] * v
             )
             if power > self._hi_l[m]:
                 self._freq_py[m] = max(self._f_min_l[m], f - self._f_step_l[m])
@@ -1647,55 +1744,38 @@ class FleetColocationKernel:
                 self._freq_py[m] = min(mx, f + self._f_step_l[m])
         self._last_net_l = lc_net_l
 
-        if want_obs:
-            for vi, i in enumerate(vec):
-                rate_sum = 0.0
-                for m in self._inst_machines[vi]:
-                    rate_sum += rate_tot_l[m]
-                be_rates[i] = rate_sum
+        be_rates = self._instance_rates(rate_tot_l) if want_obs else []
+        return w_load, closed, tails, be_rates
+
+    def _instance_rates(self, rate_tot_l: List[float]) -> List[float]:
+        """Per-instance BE rate sums (the ``on_tick`` observable)."""
+        be_rates = [0.0] * len(self._exps)
+        for i, rows in enumerate(self._inst_machines):
+            rate_sum = 0.0
+            for m in rows:
+                rate_sum += rate_tot_l[m]
+            be_rates[i] = rate_sum
+        return be_rates
 
     def _tick_vec(
-        self,
-        t: float,
-        dt: float,
-        last: bool,
-        loads: List[float],
-        tails: List[float],
-        closed: List[bool],
-        be_rates: List[float],
-        want_obs: bool,
-    ) -> None:
-        """Whole-array tick over the vectorized instances (large fleets)."""
+        self, t: float, dt: float, last: bool, want_obs: bool
+    ) -> Tuple[List[float], List[bool], List[float], List[float]]:
+        """Whole-array tick over every instance (large fleets)."""
         exps = self._exps
-        vec = self._vec_idx
         M = self._n_machines
+        faulted = self._faulted
 
-        # Phase 0: load windows (per-instance RNG, python).
-        w_load: List[float] = [0.0] * len(vec)
-        w_real: List[float] = [0.0] * len(vec)
-        w_n: List[int] = [0] * len(vec)
-        for vi, i in enumerate(vec):
-            window = exps[i]._begin_tick(t, dt)
-            w_load[vi] = window.load
-            w_real[vi] = window.realized_load
-            w_n[vi] = window.n_samples
-            loads[i] = window.load
+        # Phase 0: fault transitions, load windows, dirty-row rebuilds.
+        w_load, w_real, w_n = self._begin_windows(t, dt)
 
-        # Rebuild rows invalidated by last tick's applies.
-        if self._dirty:
-            for m in sorted(self._dirty):
-                self._rebuild_row(m)
-            self._dirty.clear()
-
-        # Phase 1a: LC usage and NIC caps, whole fleet at once. Healthy
-        # link (faulted instances are delegated): effective capacity ==
-        # physical link, bitwise.
-        real_m = np.asarray(w_real)[self._m_vi_arr]
+        # Phase 1a: LC usage and NIC caps, whole fleet at once, against
+        # the effective (fault-scaled) link.
+        real_m = np.asarray(w_real)[self._m_i_arr]
         lc_busy = self._busy_coeff * real_m
         lc_membw = np.minimum(1.0, self._membw_coeff * real_m)
         lc_net = self._net_coeff * real_m
-        lc_sent = np.minimum(lc_net, self._link_nic)
-        be_cap = np.maximum(0.0, self._link_nic - self._guard * lc_sent)
+        lc_sent = np.minimum(lc_net, self._link_eff)
+        be_cap = np.maximum(0.0, self._link_eff - self._guard * lc_sent)
         be_cap_frac = be_cap / self._link_spec
 
         # Phase 1b: proportional headroom shares. min(1, inf) == 1
@@ -1708,8 +1788,10 @@ class FleetColocationKernel:
         np.divide(be_cap_frac, self._nd_total, out=quot, where=self._nd_total > 0.0)
         net_scale = np.minimum(1.0, quot)
 
-        # Phase 1c: Leontief rates, exact BeRateKernel op order.
-        fratio = self._freq / self._f_max
+        # Phase 1c: Leontief rates, exact BeRateKernel op order, at the
+        # capped BE frequency.
+        freq = np.minimum(self._freq, self._f_cap) if faulted else self._freq
+        fratio = freq / self._f_max
         ratios = (self._cpu_base * fratio[:, None]) / self._req_cpu
         ratios = np.minimum(ratios, self._llc_ratio)
         granted_membw = self._membw * membw_scale[:, None]
@@ -1734,46 +1816,20 @@ class FleetColocationKernel:
         snap_membw = np.minimum(1.0, membw_used)
         snap_net = np.minimum(1.0, net_used)
 
-        # Phase 1d: pressure -> slowdown -> sigma inflation, python per
-        # machine (x ** gamma and the impact fold must stay python).
+        # Phase 1d: pressure -> slowdown -> sigma inflation (python).
         membw_l = snap_membw.tolist()
         net_l = snap_net.tolist()
-        real_l = real_m.tolist()
-        busy_l = self._busy_be_l
-        slow_l: List[float] = [1.0] * M
-        infl_l: List[float] = [1.0] * M
-        p_cpu_l = self._p_cpu_l
-        p_llc_l = self._p_llc_l
-        for m in range(M):
-            p_cpu = p_cpu_l[m]
-            p_llc = p_llc_l[m]
-            p_membw = membw_l[m]
-            p_net = net_l[m]
-            # p_freq == 0.0 exactly: the LC DVFS domain is untouched on
-            # healthy machines, so its ratio is bitwise 1.0.
-            coeffs, gamma, beta, hroom, coup, cap = self._pconst[m]
-            if p_cpu == 0.0 and p_llc == 0.0 and p_membw == 0.0 and p_net == 0.0:
-                slow = 1.0
-            else:
-                impact = coeffs[0] * p_cpu**gamma
-                impact = impact + coeffs[1] * p_llc**gamma
-                impact = impact + coeffs[2] * p_membw**gamma
-                impact = impact + coeffs[3] * p_net**gamma
-                impact = impact + coeffs[4] * 0.0**gamma
-                lo = real_l[m]
-                lo = min(max(lo, 0.0), 1.0)
-                amp = 1.0 + beta * lo / (hroom + (1.0 - lo))
-                slow = 1.0 + amp * impact
-            slow_l[m] = slow
-            infl_l[m] = min(cap, 1.0 + coup * (slow - 1.0))
+        slow_l, infl_l = self._slowdowns(
+            real_m.tolist(),
+            membw_l,
+            net_l,
+            lc_net.tolist() if faulted else None,
+        )
 
         # Phase 2: latency sampling per instance (per-instance RNG),
         # tails reduced per (n_samples, percentile) group in one
         # partitioned-percentile call — bitwise equal per row.
-        closed_vec, tails_vec = self._sample_tails(w_real, w_n, slow_l, infl_l)
-        for vi, i in enumerate(vec):
-            tails[i] = tails_vec[vi]
-            closed[i] = closed_vec[vi]
+        closed, tails = self._sample_tails(w_real, w_n, slow_l, infl_l)
 
         # Phase 3: BE progress, in place (elementwise == python floats).
         self._nw += dt * rate
@@ -1782,8 +1838,8 @@ class FleetColocationKernel:
         # Deferred metrics: integrate now, materialise at end of run.
         # Counter columns are copied *before* this tick's applies, like
         # the scalar record_tick.
-        tail_m = np.asarray(tails_vec)[self._m_vi_arr]
-        load_m = np.asarray(w_load)[self._m_vi_arr]
+        tail_m = np.asarray(tails)[self._m_i_arr]
+        load_m = np.asarray(w_load)[self._m_i_arr]
         busy_total = lc_busy + self._busy_be
         membw_total = np.minimum(1.0, lc_membw + snap_membw)
         self._lc_int += load_m * dt
@@ -1805,11 +1861,12 @@ class FleetColocationKernel:
                 self._njobs.copy(),
             )
         )
-        self._wins.append((closed_vec, tails_vec))
+        self._wins.append((closed, tails))
 
         # Phase 4: control — decide is stateful python per machine; the
         # applies run through the shared subcontrollers, memoized on
-        # (action, version, mem_version) no-op keys.
+        # no-op keys.
+        busy_l = self._busy_be_l
         acts: List[str] = [""] * M
         stop = BeAction.STOP_BE
         for m in range(M):
@@ -1817,7 +1874,7 @@ class FleetColocationKernel:
             exp = exps[i]
             run = self._m_run[m]
             machine = self._m_mach[m]
-            action = run.controller.decide(loads[i], tails[i], t=t)
+            action = run.controller.decide(w_load[i], tails[i], t=t)
             filt = exp.action_filter
             if filt is not None:
                 action = filt(self._m_pod[m], action)
@@ -1834,7 +1891,10 @@ class FleetColocationKernel:
                     rates=dict(zip(ids, rate[m, : len(ids)].tolist())),
                 )
             memo = self._memo[m]
-            key = (action, machine.version, machine.mem_version)
+            if faulted:
+                key = _memo_key(self._m_pod[m], action, machine)
+            else:
+                key = (action, machine.version, machine.mem_version)
             if key in memo:
                 continue
             self._flush_row(m)
@@ -1843,7 +1903,7 @@ class FleetColocationKernel:
             exp._cpu_llc.apply(action, machine, run.pool)
             exp._memory.apply(action, machine, run.pool)
             if action is stop:
-                # STOP reset the BE DVFS domain; mirror it and never
+                # STOP reset the BE DVFS request; mirror it and never
                 # memoize (the key cannot witness this side effect).
                 self._freq[m] = self._f_max_l[m]
             if machine.version != v0:
@@ -1856,13 +1916,16 @@ class FleetColocationKernel:
         self._acts.append(acts)
 
         # Phase 5: frequency subcontroller, whole fleet at once. Uses
-        # post-apply BE core counts, exactly like the scalar pass.
+        # post-apply BE core counts, exactly like the scalar pass; power
+        # and steps use the capped frequency, an idle step keeps the
+        # request (the governor's semantics).
+        freq = np.minimum(self._freq, self._f_cap) if faulted else self._freq
         if self._r3_table is not None:
-            r3 = self._r3_table[(self._freq - self._r3_base) // self._r3_step]
+            r3 = self._r3_table[(freq - self._r3_base) // self._r3_step]
         else:
             cache = self._r3_cache
             vals = []
-            for m, f in enumerate(self._freq.tolist()):
+            for m, f in enumerate(freq.tolist()):
                 mx = self._f_max_l[m]
                 v = cache.get((f, mx))
                 if v is None:
@@ -1870,25 +1933,19 @@ class FleetColocationKernel:
                     cache[(f, mx)] = v
                 vals.append(v)
             r3 = np.asarray(vals)
-        power = self._idle_w + self._active_w * (lc_busy + self._cnt_cores * r3)
+        lc_term = lc_busy * self._r3_lc if faulted else lc_busy
+        power = self._idle_w + self._active_w * (lc_term + self._cnt_cores * r3)
         down = power > self._hi_w
         up = (~down) & (power < self._lo_w)
         self._freq = np.where(
             down,
-            np.maximum(self._f_min, self._freq - self._f_step),
-            np.where(
-                up, np.minimum(self._f_max, self._freq + self._f_step), self._freq
-            ),
+            np.maximum(self._f_min, freq - self._f_step),
+            np.where(up, np.minimum(self._f_max, freq + self._f_step), self._freq),
         )
         self._last_net = lc_net
 
-        if want_obs:
-            rt_l = rate_total.tolist()
-            for vi, i in enumerate(vec):
-                rate_sum = 0.0
-                for m in self._inst_machines[vi]:
-                    rate_sum += rt_l[m]
-                be_rates[i] = rate_sum
+        be_rates = self._instance_rates(rate_total.tolist()) if want_obs else []
+        return w_load, closed, tails, be_rates
 
     # -- whole runs ----------------------------------------------------------
 
@@ -1976,8 +2033,8 @@ class FleetColocationKernel:
                         action=acts[m],
                     )
                 )
-        for vi, rows in enumerate(self._inst_machines):
-            window_tails = [tl[vi] for (cv, tl) in self._wins if cv[vi]]
+        for i, rows in enumerate(self._inst_machines):
+            window_tails = [tl[i] for (cv, tl) in self._wins if cv[i]]
             for m in rows:
                 self._m_run[m].metrics.tail.record_window_tails(window_tails)
         # Sync the hardware observables (DVFS frequency, NIC caps) so
@@ -2023,8 +2080,8 @@ class FleetColocationKernel:
                         action=acts[m],
                     )
                 )
-        for vi, rows in enumerate(self._inst_machines):
-            window_tails = [tl[vi] for (cv, tl) in self._wins if cv[vi]]
+        for i, rows in enumerate(self._inst_machines):
+            window_tails = [tl[i] for (cv, tl) in self._wins if cv[i]]
             for m in rows:
                 self._m_run[m].metrics.tail.record_window_tails(window_tails)
         self._sync_hardware(self._freq_py, self._last_net_l)
@@ -2219,15 +2276,15 @@ class BakeoffKernel:
                 for pod in pods
             }
             self._members.append(_BakeoffMember(name, dict(controllers), metrics))
-        # The root branch reuses the experiment's own batched kernel if
-        # present; ``_batched`` is then detached so world forks do not
-        # deepcopy SoA mirrors (each fork builds a fresh kernel whose
-        # mirrors rebuild on the next version check).
-        root_kernel = experiment._batched or BatchedColocationKernel(experiment)
-        experiment._batched = None
+        # Kernels live on branches, never on the experiment, so world
+        # forks do not deepcopy SoA mirrors (each fork builds a fresh
+        # kernel whose mirrors rebuild on the next version check).
         self._branches: List[_BakeoffBranch] = [
             _BakeoffBranch(
-                experiment, root_kernel, list(range(len(self._members))), set()
+                experiment,
+                BatchedColocationKernel(experiment),
+                list(range(len(self._members))),
+                set(),
             )
         ]
         self.stats = BakeoffStats(members=len(self._members))
@@ -2427,10 +2484,10 @@ class BakeoffKernel:
 
         The deep copy is seeded with a memo mapping every shared
         scenario object to itself (:meth:`_scenario_shared_state`), so
-        only the mutable world state is duplicated. The clone's
-        ``_batched`` mirror is already detached (done once at
-        construction), so no SoA arrays are copied either — the fork's
-        fresh :class:`BatchedColocationKernel` rebuilds them lazily.
+        only the mutable world state is duplicated. Kernels live on
+        branches, not experiments, so no SoA arrays are copied either —
+        the fork's fresh :class:`BatchedColocationKernel` rebuilds them
+        lazily.
         """
         self.stats.forks += 1
         exp = branch.exp

@@ -163,6 +163,15 @@ class TestFaultSchedule:
         with pytest.raises(FaultError):
             FaultSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["at_s", "duration_s", "magnitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_spec_rejects_non_finite_windows(self, field, value):
+        # A NaN start would apply on the first tick and a NaN end would
+        # never revert; NaN sort keys would also make schedule order
+        # depend on input order.
+        with pytest.raises(FaultError, match=f"{field} must be finite"):
+            FaultSpec(FaultKind.CORE_OFFLINE, "m", **{field: value})
+
 
 # -- the cluster layer -----------------------------------------------------
 

@@ -23,14 +23,19 @@ from repro.experiments.fleet import (
     FleetExperiment,
     FleetInstanceSpec,
     PodPolicy,
+    _build_experiment,
     alibaba_fleet,
     fleet_identity_probe,
     heracles_fleet_policies,
+    instance_digest,
     make_growth_clamp,
     policies_from_controllers,
 )
-from repro.faults.spec import FaultSchedule
+from repro.experiments.colocation import ColocationExperiment
+from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
 from repro.loadgen.patterns import ConstantLoad
+from repro.sim.kernel import FleetColocationKernel
+from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import lc_service_spec
 
 
@@ -384,3 +389,135 @@ class TestHeterogeneousServices:
         assert zone_cache_key(
             redis_only.instances[:2], config
         ) != zone_cache_key(mixed.instances[:2], config)
+
+
+def _fault_fleet(n_instances: int, kind, seed: int = 3) -> FleetExperiment:
+    """A fleet whose odd instances carry a dense one-kind fault schedule."""
+    fleet = small_fleet(n_instances=n_instances, seed=seed)
+    for k in range(1, n_instances, 2):
+        fleet.instances[k] = dataclasses.replace(
+            fleet.instances[k],
+            faults=FaultSchedule.generate(
+                seed + k,
+                40.0,
+                faults_per_minute=6.0,
+                kinds=[kind],
+                min_duration_s=4.0,
+                max_duration_s=16.0,
+            ),
+        )
+    return fleet
+
+
+class TestFaultedFleetTick:
+    """Faulted instances ride the fleet SoA tick, bit-identical to scalar.
+
+    6 instances are 12 machines (the whole-array path); 4 instances are
+    8 machines (the small-fleet python path).
+    """
+
+    @pytest.mark.parametrize("n_instances", [6, 4])
+    @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda k: k.value)
+    def test_identity_per_fault_kind(self, kind, n_instances):
+        fleet = _fault_fleet(n_instances, kind)
+        assert fleet.run().digest == fleet.run_reference().digest
+
+    @pytest.mark.parametrize("n_instances", [6, 4])
+    def test_mixed_histogram_and_faulted_instances(self, n_instances):
+        fleet = _fault_fleet(n_instances, FaultKind.NIC_DEGRADE)
+        digests = {}
+        for kernel in ("fleet", "scalar"):
+            experiments = [
+                _build_experiment(spec, fleet.config) for spec in fleet.instances
+            ]
+            # One instance streams its tails through a histogram, one
+            # carries both a histogram and a fault schedule.
+            for k in (0, 1):
+                exp = experiments[k]
+                experiments[k] = ColocationExperiment(
+                    exp.spec,
+                    exp.controllers,
+                    exp.be_specs,
+                    exp.pattern,
+                    streams=RandomStreams(fleet.instances[k].seed),
+                    config=dataclasses.replace(
+                        exp.config, tail_estimator="histogram"
+                    ),
+                )
+            if kernel == "fleet":
+                results = FleetColocationKernel(experiments).run()
+            else:
+                results = []
+                for exp in experiments:
+                    exp.kernel = "scalar"
+                    results.append(exp.run())
+            digests[kernel] = [
+                instance_digest(exp, res)
+                for exp, res in zip(experiments, results)
+            ]
+        assert digests["fleet"] == digests["scalar"]
+
+    @pytest.mark.parametrize("n_instances", [6, 2])
+    def test_memo_sees_fault_held_cores(self, n_instances):
+        """A core-offline window that holds every free core turns ALLOW
+        into a no-op; once the cores come back the same (action,
+        version, mem_version) must launch again. Only the fault-held
+        counts in the memo key can tell the two states apart."""
+        service = lc_service_spec("Redis")
+        policies = tuple(
+            sorted(
+                (pod, PodPolicy(loadlimit=1.0, slacklimit=0.05))
+                for pod in service.servpod_names
+            )
+        )
+        hold = FaultSchedule(
+            faults=(
+                FaultSpec(
+                    FaultKind.CORE_OFFLINE, at_s=6.0, duration_s=12.0,
+                    magnitude=1.0,
+                ),
+            )
+        )
+        specs = [
+            FleetInstanceSpec(
+                service="Redis",
+                policies=policies,
+                # 1 GB working set: the 2 GB start needs no memory
+                # growth, so a blocked ALLOW changes nothing at all.
+                be_jobs=("CPU-stress",),
+                pattern=ConstantLoad(0.3),
+                seed=60 + k,
+                faults=hold,
+            )
+            for k in range(n_instances)
+        ]
+        fleet = FleetExperiment(
+            specs, FleetConfig(duration_s=40.0, workers=1, zone_size=2)
+        )
+        fleet_result = fleet.run()
+        assert fleet_result.digest == fleet.run_reference().digest
+        # The window really did turn ALLOW into a no-op and back.
+        experiments = [_build_experiment(spec, fleet.config) for spec in specs]
+        FleetColocationKernel(experiments).run()
+        samples = next(iter(experiments[0]._runs.values())).metrics.samples
+        during = [s for s in samples if 6.0 < s.t < 18.0]
+        after = [s for s in samples if s.t >= 20.0]
+        assert all(s.action == BeAction.ALLOW_BE_GROWTH.value for s in samples)
+        assert len({s.be_instances for s in during}) == 1
+        assert after[-1].be_instances > during[-1].be_instances
+
+    def test_stop_on_last_tick_keeps_kill_clawback(self):
+        """StopBE on the final tick kills jobs (losing their in-flight
+        units); the end-of-run flush must not write the pre-kill SoA
+        progress back over them."""
+        fleet = violating_fleet(duration_s=20.0)
+        experiments = [
+            _build_experiment(spec, fleet.config) for spec in fleet.instances
+        ]
+        FleetColocationKernel(experiments).run()
+        last = [
+            next(iter(exp._runs.values())).metrics.samples[-1].action
+            for exp in experiments
+        ]
+        assert BeAction.STOP_BE.value in last
+        assert fleet.run().digest == fleet.run_reference().digest

@@ -236,6 +236,12 @@ class TestDomainEvent:
         with pytest.raises(FaultError, match="magnitude"):
             DomainEvent(DomainKind.RACK_POWER, 0, magnitude=1.5)
 
+    @pytest.mark.parametrize("field", ["at_s", "duration_s", "magnitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_windows(self, field, value):
+        with pytest.raises(FaultError, match=f"{field} must be finite"):
+            DomainEvent(DomainKind.RACK_POWER, 0, **{field: value})
+
 
 class TestCorrelatedFaultSchedule:
     def test_same_seed_identical_schedule(self):
