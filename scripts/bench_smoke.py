@@ -27,10 +27,10 @@ Runs, in order:
    throwaway disk cache, asserting the warm run executes zero
    simulations, reproduces the cold ``FleetResult.digest``
    bit-identically, and still hits every entry after resharding, then
-8. the bake-off smoke: a small three-member controller bake-off under
-   a fault schedule, run once as independent reference runs and once
-   through the shared-physics single pass, asserting bit-identical
-   digests, plus a cold/warm bake-off cache round trip that must
+8. the bake-off smoke: a small three-member controller bake-off,
+   healthy and under a fault schedule, run as independent reference
+   runs on both kernels and once through the shared-physics single
+   pass, asserting bit-identical digests, plus a cold/warm bake-off cache round trip that must
    execute zero shared passes when warm, then
 9. the storm smoke: a correlated fault storm (seeded rack/AZ/ToR
    domain events expanded over a small fleet) through the fleet SoA
@@ -426,12 +426,15 @@ def smoke_fleet_cache() -> None:
 def smoke_bakeoff() -> None:
     """The controller bake-off identity gate plus its cache round trip.
 
-    A small three-member bake-off under a fault schedule must reproduce
-    the independent reference runs' digests bit-identically through the
-    shared-physics single pass, and a warm re-run against a throwaway
-    disk cache must execute zero shared passes while returning the cold
-    run's digest.
+    A small three-member bake-off, healthy and under a fault schedule,
+    must reproduce the independent reference runs' digests
+    bit-identically through the shared-physics single pass — against
+    references run on the default (batched) kernel, which the bake-off
+    branches share, and on the scalar engine, the oracle. A warm re-run
+    against a throwaway disk cache must execute zero shared passes
+    while returning the cold run's digest.
     """
+    import os
     import shutil
     import tempfile
 
@@ -445,20 +448,30 @@ def smoke_bakeoff() -> None:
         predictive_member,
         run_bakeoff,
     )
+    from repro.sim.kernel import KERNEL_ENV_VAR
 
     t0 = time.perf_counter()
-    for with_faults in (False, True):
-        reference = bakeoff_identity_probe(
-            "reference", duration_s=40.0, with_faults=with_faults
-        )
-        shared = bakeoff_identity_probe(
-            "bakeoff", duration_s=40.0, with_faults=with_faults
-        )
-        if shared != reference:
-            raise AssertionError(
-                f"shared bake-off pass diverged from the independent "
-                f"reference runs (with_faults={with_faults})"
+    saved = os.environ.get(KERNEL_ENV_VAR)
+    try:
+        for with_faults in (False, True):
+            shared = bakeoff_identity_probe(
+                "bakeoff", duration_s=40.0, with_faults=with_faults
             )
+            for kernel in ("batched", "scalar"):
+                os.environ[KERNEL_ENV_VAR] = kernel
+                reference = bakeoff_identity_probe(
+                    "reference", duration_s=40.0, with_faults=with_faults
+                )
+                if shared != reference:
+                    raise AssertionError(
+                        f"shared bake-off pass diverged from the independent "
+                        f"{kernel} reference runs (with_faults={with_faults})"
+                    )
+    finally:
+        if saved is None:
+            os.environ.pop(KERNEL_ENV_VAR, None)
+        else:
+            os.environ[KERNEL_ENV_VAR] = saved
     identity_s = time.perf_counter() - t0
 
     members = [
@@ -490,7 +503,8 @@ def smoke_bakeoff() -> None:
         raise AssertionError("warm bake-off digest diverged from the cold run")
     print(
         f"smoke bakeoff OK: 3-member roster bit-identical to independent "
-        f"runs, healthy + faulted ({identity_s:.1f}s); cold {cold_s:.1f}s "
+        f"batched and scalar runs, healthy + faulted ({identity_s:.1f}s); "
+        f"cold {cold_s:.1f}s "
         f"-> warm {warm_s:.3f}s, zero shared passes warm"
     )
 

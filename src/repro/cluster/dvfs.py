@@ -93,6 +93,14 @@ class DvfsGovernor:
         cap = self._cap.get(domain)
         return min(freq, cap) if cap is not None else freq
 
+    def requested(self, domain: str) -> int:
+        """The governor's requested frequency of ``domain`` in MHz.
+
+        Unlike :meth:`frequency`, not clamped by a hardware cap: the
+        request is what the next step starts from once a cap lifts.
+        """
+        return self._freq.get(domain, self.max_mhz)
+
     def ratio(self, domain: str) -> float:
         """Current frequency of ``domain`` as a fraction of max."""
         return self.frequency(domain) / self.max_mhz

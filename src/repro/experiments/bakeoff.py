@@ -27,6 +27,7 @@ shared the pass. A fully warm league table executes zero simulations.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -206,8 +207,11 @@ class BakeoffConfig:
     max_be_instances: int = 16
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.control_period_s <= 0:
-            raise ConfigurationError("bake-off duration/period must be positive")
+        for value in (self.duration_s, self.control_period_s):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    "bake-off duration/period must be finite and positive"
+                )
 
     def colocation_config(self, scenario: BakeoffScenario) -> ColocationConfig:
         """The per-run config this bake-off config induces."""

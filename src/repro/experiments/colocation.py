@@ -18,6 +18,7 @@ periods. Each period it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
@@ -84,6 +85,12 @@ class ColocationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("duration_s", "control_period_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ExperimentError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
         if self.tail_estimator not in ("exact", "histogram"):
             raise ExperimentError(
                 f"tail_estimator must be 'exact' or 'histogram', "

@@ -165,8 +165,11 @@ class FleetConfig:
     max_be_instances: int = 16
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.control_period_s <= 0:
-            raise ConfigurationError("fleet duration/period must be positive")
+        for value in (self.duration_s, self.control_period_s):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    "fleet duration/period must be finite and positive"
+                )
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         if self.zone_size < 1:

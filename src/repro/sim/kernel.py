@@ -7,26 +7,31 @@ events per second on one core. This module re-expresses the same-tick
 work as contiguous numpy arrays keyed by (machine, Servpod) coordinates
 and drains whole ticks with vectorized operations:
 
-- :class:`BeRateKernel` mirrors each machine's BE allocation state into
-  flat per-job arrays (CPU grants, LLC ratios, bandwidth demands),
-  revalidated with one integer compare against ``Machine.version``, and
-  evaluates every job's Leontief rate in a handful of array ops.
+- :class:`FleetColocationKernel` runs many ``ColocationExperiment``
+  instances in lockstep — a single cell is a fleet of one — holding
+  per-machine job rows, LC usage, NIC caps, DVFS state and metric
+  integrals in contiguous columns, so a fleet tick is a handful of
+  whole-array numpy ops plus one python pass for the (stateful)
+  per-machine controllers. The tick splits into an observe half
+  (phases 0-3: windows, fault transitions, rates, progress, slowdowns,
+  tails) and an act half (phase 4 memoized applies, phase 5 frequency);
+  controllers decide between the two.
+- :class:`BeRateKernel` is the small-fleet row store: one python
+  Leontief fold per machine over rows revalidated with one integer
+  compare against ``Machine.version``, writing BE progress straight
+  into the ``BeJob`` objects.
 - :class:`BatchedServiceSampler` builds the per-Servpod lognormal
   parameter blocks once per tick and replays the call-tree walk against
   them, consuming the latency RNG stream in exactly the scalar order.
 - :func:`drain_fifo_queue` replays the G/G/c FIFO event loop as a
   Lindley start-time recurrence over plain floats plus vectorized
   sojourn/wait extraction — no engine, no per-request closures.
-- :class:`BatchedColocationKernel` composes the pieces into the
-  controller-independent half of the scalar ``ColocationExperiment._tick``
-  (faults, load window, physics, latency draws, BE progress), which the
-  bake-off shares across controller sets.
-- :class:`FleetColocationKernel` lifts the same idea across *machines*:
-  it runs many ``ColocationExperiment`` instances in lockstep, holding
-  one contiguous (machines × job-slots) array family for BE rates and
-  progress, (machines,) arrays for LC usage, NIC caps, DVFS state and
-  metric integrals, so a fleet tick is a handful of whole-array numpy
-  ops plus one python pass for the (stateful) per-machine controllers.
+- :class:`BakeoffKernel` races several controller sets over one seeded
+  scenario: each branch world ticks through a one-instance fleet
+  kernel, members decide between its observe and act halves, and
+  diverging members fork the world. The kernel holds the BE DVFS
+  request and NIC caps in its own columns, so the world objects are
+  synced before any fork or world digest reads them.
 
 Identity pinning
 ----------------
@@ -66,12 +71,10 @@ from repro.bejobs.job import (
     LLC_SPILL_TO_MEMBW,
     BeJobState,
     BeResourceSnapshot,
-    LcUsage,
 )
 from repro.cluster.machine import BE_DOMAIN, LC_DOMAIN, Machine
 from repro.core.actions import BeAction
 from repro.errors import ConfigurationError
-from repro.interference.model import Pressure
 from repro.interference.sensitivity import PRESSURE_KINDS
 from repro.metrics.collector import MachineMetrics, TickSample
 from repro.workloads.latency import LatencyModel
@@ -108,288 +111,118 @@ def resolve_kernel(explicit: Optional[str] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# BE progress rates: SoA mirror of one machine's allocation state
+# BE progress rates: the per-machine python fold
 # ---------------------------------------------------------------------------
 
 
-class _MachineMirror:
-    """Flat per-job rows for one machine's *running* BE jobs.
+class BeRateKernel:
+    """Row store and Leontief fold of a small fleet's running BE jobs.
 
-    Rebuilt whenever ``Machine.version`` moves (launch/kill/grow/shrink/
-    suspend/resume); between bumps every cached value is exactly what
-    the scalar :func:`~repro.bejobs.job.compute_be_rates` would
-    recompute from the same allocations. Rows are python lists, not
-    arrays: a machine holds at most a handful of BE jobs, so the fused
-    scalar loop in :meth:`BeRateKernel.be_rates` beats whole-array
-    numpy on dispatch cost alone — and elementwise float64 equals
-    python-float arithmetic bit for bit, so the identity pin holds.
-
-    ``row_cache`` (per machine, owned by :class:`BeRateKernel`) carries
-    individual job rows across rebuilds: a row depends only on the
-    job's frozen spec and its ``(cores, llc_ways)`` allocation, so a
-    version bump that touches one job (launch, grow) can reuse every
-    other job's row verbatim. Cached rows are the exact floats the
-    uncached branch computes, and the totals folds below always run in
-    job order over those values, so rounding is unchanged.
+    :meth:`FleetColocationKernel._rebuild_row` loads one row set per
+    machine whenever ``Machine.version`` moves (launch/kill/grow/shrink/
+    suspend/resume) or a fault transition lands; between loads every
+    cached value is exactly what the scalar
+    :func:`~repro.bejobs.job.compute_be_rates` would recompute from the
+    same allocations. Rows are python lists, not arrays: a machine holds
+    at most a handful of BE jobs, so one fused scalar loop beats
+    whole-array numpy on dispatch cost alone — and elementwise float64
+    equals python-float arithmetic bit for bit, so the identity pin
+    holds. Large fleets keep the same rows as padded SoA arrays instead.
     """
 
-    __slots__ = (
-        "version",
-        "job_ids",
-        "jobs",
-        "cpu_base",
-        "req_cpu",
-        "llc_ratio",
-        "membw",
-        "membw_div",
-        "membw_mask",
-        "net",
-        "net_div",
-        "net_mask",
-        "total_membw_demand",
-        "total_net_demand",
-        "busy_cores",
-        "llc_demand_total",
-        "llc_occupied_total",
-        "p_cpu",
-        "p_llc",
-        "last_rates",
-    )
+    def __init__(self, n_machines: int) -> None:
+        #: Per machine: the running ``BeJob`` objects, in pool order.
+        self.jobs: List[List] = [[] for _ in range(n_machines)]
+        #: Per machine: ``(cpu_base, req_cpu, llc_ratio, membw,
+        #: membw_mask, membw_div, net, net_mask, net_div)`` job columns.
+        self.rows: List[Tuple] = [((),) * 9 for _ in range(n_machines)]
+        self.membw_demand: List[float] = [0.0] * n_machines
+        self.net_demand: List[float] = [0.0] * n_machines
+        #: Per machine: the rates of the last :meth:`be_rates` call.
+        self.rates: List[List[float]] = [[] for _ in range(n_machines)]
 
-    def __init__(
+    def load(
         self,
-        machine: Machine,
-        jobs: Sequence,
-        isolation=None,
-        row_cache: Optional[Dict[tuple, tuple]] = None,
+        m: int,
+        jobs: List,
+        rows: Tuple,
+        membw_demand: float,
+        net_demand: float,
     ) -> None:
-        self.version = machine.version
-        total_cores = machine.spec.cores
-        running = [
-            job
-            for job in jobs
-            if job.state == BeJobState.RUNNING
-            and machine.be_allocation(job.job_id) is not None
-            and not machine.be_allocation(job.job_id).suspended
-        ]
-        n = len(running)
-        self.job_ids: List[str] = [job.job_id for job in running]
-        self.jobs = running
-        self.last_rates: List[float] = []
-        cpu_base: List[float] = [0.0] * n
-        req_cpu: List[float] = [0.0] * n
-        llc_ratio: List[float] = [0.0] * n
-        membw: List[float] = [0.0] * n
-        membw_div: List[float] = [0.0] * n
-        membw_mask: List[bool] = [False] * n
-        net: List[float] = [0.0] * n
-        net_div: List[float] = [0.0] * n
-        net_mask: List[bool] = [False] * n
-        # Scalar-order python folds: compute_be_rates accumulates these
-        # with ``+=`` over the running list, so the cached totals carry
-        # the exact same rounding.
-        total_membw_demand = 0.0
-        total_net_demand = 0.0
-        busy_cores = 0.0
-        llc_demand_total = 0.0
-        llc_occupied_total = 0.0
-        for i, job in enumerate(running):
-            spec = job.spec
-            alloc = machine.be_allocation(job.job_id)
-            cores = alloc.cores
-            row_key = (job.job_id, spec.name, cores, alloc.llc_ways)
-            row = None if row_cache is None else row_cache.get(row_key)
-            if row is None:
-                llc_granted = alloc.llc_ways / machine.llc.n_ways
-                llc_demand = spec.demand_fraction("llc", cores, total_cores)
-                membw_demand = spec.demand_fraction(
-                    "membw", cores, total_cores
-                )
-                membw_demand += LLC_SPILL_TO_MEMBW * max(
-                    0.0, llc_demand - llc_granted
-                )
-                membw_i = min(1.0, membw_demand)
-                net_i = spec.demand_fraction("net", cores, total_cores)
-                llc_usage = spec.usage("llc")
-                membw_usage = spec.usage("membw")
-                net_usage = spec.usage("net")
-                row = (
-                    llc_granted,
-                    llc_demand,
-                    cores / total_cores,
-                    min(1.0, spec.saturation_cores / total_cores),
-                    llc_granted / llc_usage if llc_usage > 0 else np.inf,
-                    membw_i,
-                    membw_usage > 0,
-                    membw_usage if membw_usage > 0 else 1.0,
-                    net_i,
-                    net_usage > 0,
-                    net_usage if net_usage > 0 else 1.0,
-                )
-                if row_cache is not None:
-                    row_cache[row_key] = row
-            llc_granted = row[0]
-            llc_demand = row[1]
-            cpu_base[i] = row[2]
-            req_cpu[i] = row[3]
-            llc_ratio[i] = row[4]
-            membw_i = row[5]
-            membw[i] = membw_i
-            membw_mask[i] = row[6]
-            membw_div[i] = row[7]
-            net_i = row[8]
-            net[i] = net_i
-            net_mask[i] = row[9]
-            net_div[i] = row[10]
-            total_membw_demand += membw_i
-            total_net_demand += net_i
-            busy_cores += cores
-            llc_demand_total += llc_demand
-            llc_occupied_total += llc_granted
-        self.cpu_base = cpu_base
-        self.req_cpu = req_cpu
-        self.llc_ratio = llc_ratio
-        self.membw = membw
-        self.membw_div = membw_div
-        self.membw_mask = membw_mask
-        self.net = net
-        self.net_div = net_div
-        self.net_mask = net_mask
-        self.total_membw_demand = total_membw_demand
-        self.total_net_demand = total_net_demand
-        self.busy_cores = busy_cores
-        self.llc_demand_total = llc_demand_total
-        self.llc_occupied_total = llc_occupied_total
-        # CPU and LLC pressure depend only on allocation state, so they
-        # are row-cacheable (membw/net pressure is per-tick). Same
-        # expressions as ``Pressure.from_be_snapshot`` over this
-        # mirror's totals.
-        if isolation is not None:
-            self.p_cpu = isolation.cpu_pressure(
-                min(1.0, busy_cores / total_cores)
-            )
-            self.p_llc = isolation.llc_pressure(
-                min(1.0, llc_occupied_total), min(1.0, llc_demand_total)
-            )
-        else:
-            self.p_cpu = 0.0
-            self.p_llc = 0.0
-
-
-class BeRateKernel:
-    """Mirror-cached, scalar-fused replacement for ``compute_be_rates``."""
-
-    def __init__(self, isolation=None) -> None:
-        self._mirrors: Dict[str, _MachineMirror] = {}
-        self._isolation = isolation
-        # Per-machine job-row caches shared across mirror rebuilds (see
-        # the ``row_cache`` note on :class:`_MachineMirror`).
-        self._rows: Dict[str, Dict[tuple, tuple]] = {}
-
-    def mirror(self, machine: Machine) -> _MachineMirror:
-        """The current (freshly validated) mirror for ``machine``.
-
-        Valid immediately after a same-tick :meth:`be_rates` call; the
-        cached ``p_cpu``/``p_llc`` and ``last_rates`` belong to that
-        call's allocation state and rate computation.
-        """
-        return self._mirrors[machine.spec.name]
-
-    def advance_be(self, machine: Machine, dt: float) -> None:
-        """Phase-3 BE progress from the mirror's cached job rows.
-
-        Bit-identical to ``ColocationExperiment._advance_be`` for this
-        machine's pod: the same two ``+=`` folds per running job, in the
-        same job order, at the rates just computed by :meth:`be_rates`
-        (mirror membership == ``pool.running()`` with a live allocation,
-        and any suspend/resume/kill bumps ``Machine.version`` which
-        rebuilds the mirror before the next call).
-        """
-        mirror = self._mirrors[machine.spec.name]
-        for job, rate in zip(mirror.jobs, mirror.last_rates):
-            job.normalized_work += dt * rate
-            job.running_seconds += dt
+        """Install machine ``m``'s freshly rebuilt job rows."""
+        self.jobs[m] = jobs
+        self.rows[m] = rows
+        self.membw_demand[m] = membw_demand
+        self.net_demand[m] = net_demand
 
     def be_rates(
-        self, machine: Machine, jobs: Sequence, lc_usage: LcUsage
-    ) -> BeResourceSnapshot:
-        """Bit-identical to ``compute_be_rates(machine, jobs, lc_usage)``."""
-        mirror = self._mirrors.get(machine.spec.name)
-        if mirror is None or mirror.version != machine.version:
-            rows = self._rows.get(machine.spec.name)
-            if rows is None:
-                rows = self._rows[machine.spec.name] = {}
-            mirror = _MachineMirror(machine, jobs, self._isolation, rows)
-            self._mirrors[machine.spec.name] = mirror
-        if not mirror.job_ids:
-            # The scalar path returns before touching the NIC when no
-            # jobs run — preserve that exactly (NIC state is observable).
-            return BeResourceSnapshot()
+        self, m: int, freq_ratio: float, membw_headroom: float, be_cap_fraction: float
+    ) -> Tuple[float, float, float]:
+        """Machine ``m``'s Leontief rates; ``(membw_used, net_used, rate_total)``.
 
-        freq_ratio = machine.dvfs.ratio(BE_DOMAIN)
-        membw_headroom = max(0.0, 1.0 - lc_usage.membw_fraction)
-        membw_scale = (
-            min(1.0, membw_headroom / mirror.total_membw_demand)
-            if mirror.total_membw_demand > 0
-            else 1.0
-        )
-        machine.nic.observe_lc_traffic(lc_usage.net_gbps)
-        be_cap_fraction = machine.nic.be_cap_gbps / machine.spec.link_gbps
-        net_scale = (
-            min(1.0, be_cap_fraction / mirror.total_net_demand)
-            if mirror.total_net_demand > 0
-            else 1.0
-        )
-
-        # Leontief rates, one fused scalar pass per job — the same
-        # min-chain the scalar path folds per job (resources a job does
-        # not use are simply skipped, exactly like its absent ratios),
-        # and the same left-to-right ``+=`` folds over granted shares.
-        cpu_base = mirror.cpu_base
-        req_cpu = mirror.req_cpu
-        llc_ratio = mirror.llc_ratio
-        membw = mirror.membw
-        membw_mask = mirror.membw_mask
-        membw_div = mirror.membw_div
-        net = mirror.net
-        net_mask = mirror.net_mask
-        net_div = mirror.net_div
-        rates: Dict[str, float] = {}
-        rate_list: List[float] = []
+        The same min-chain the scalar path folds per job (resources a
+        job does not use are simply skipped, exactly like its absent
+        ratios), and the same left-to-right ``+=`` folds over granted
+        shares. ``np.minimum``-style clamps become comparisons —
+        equivalent because no operand is NaN.
+        """
+        md = self.membw_demand[m]
+        membw_scale = 1.0
+        if md > 0.0:
+            membw_scale = membw_headroom / md
+            if membw_scale > 1.0:
+                membw_scale = 1.0
+        nd = self.net_demand[m]
+        net_scale = 1.0
+        if nd > 0.0:
+            net_scale = be_cap_fraction / nd
+            if net_scale > 1.0:
+                net_scale = 1.0
+        (cpu_b, req_c, llc_r, mbw, mbw_m, mbw_d,
+         net_b, net_m, net_d) = self.rows[m]
+        rates: List[float] = [0.0] * len(cpu_b)
         membw_used = 0.0
         net_used = 0.0
-        for j, job_id in enumerate(mirror.job_ids):
-            r = (cpu_base[j] * freq_ratio) / req_cpu[j]
-            lr = llc_ratio[j]
+        rate_total = 0.0
+        for j in range(len(cpu_b)):
+            r = (cpu_b[j] * freq_ratio) / req_c[j]
+            lr = llc_r[j]
             if lr < r:
                 r = lr
-            g_m = membw[j] * membw_scale
-            if membw_mask[j]:
-                q = g_m / membw_div[j]
+            g_m = mbw[j] * membw_scale
+            if mbw_m[j]:
+                q = g_m / mbw_d[j]
                 if q < r:
                     r = q
-            g_n = net[j] * net_scale
-            if net_mask[j]:
-                q = g_n / net_div[j]
+            g_n = net_b[j] * net_scale
+            if net_m[j]:
+                q = g_n / net_d[j]
                 if q < r:
                     r = q
             if r > 1.0:
                 r = 1.0
             elif r < 0.0:
                 r = 0.0
-            rates[job_id] = r
-            rate_list.append(r)
-            membw_used += g_m
-            net_used += g_n
-        mirror.last_rates = rate_list
-        return BeResourceSnapshot(
-            busy_cores=mirror.busy_cores,
-            membw_fraction=min(1.0, membw_used),
-            llc_demand_fraction=min(1.0, mirror.llc_demand_total),
-            llc_occupied_fraction=min(1.0, mirror.llc_occupied_total),
-            net_fraction=min(1.0, net_used),
-            rates=rates,
-        )
+            rates[j] = r
+            membw_used = membw_used + g_m
+            net_used = net_used + g_n
+            rate_total = rate_total + r
+        self.rates[m] = rates
+        return membw_used, net_used, rate_total
+
+    def advance_be(self, m: int, dt: float) -> None:
+        """Phase-3 BE progress, written straight into the ``BeJob`` objects.
+
+        Bit-identical to ``ColocationExperiment._advance_be`` for this
+        machine's pod: the same two ``+=`` folds per running job, in the
+        same job order, at the rates of the last :meth:`be_rates` call
+        (row membership == ``pool.running()`` with a live allocation;
+        any suspend/resume/kill bumps ``Machine.version``, which reloads
+        the rows before the next call).
+        """
+        for job, rate in zip(self.jobs[m], self.rates[m]):
+            job.normalized_work += dt * rate
+            job.running_seconds += dt
 
 
 # ---------------------------------------------------------------------------
@@ -652,185 +485,6 @@ def percentile_linear_rows(stack: np.ndarray, pct: float) -> List[float]:
 
 
 # ---------------------------------------------------------------------------
-# The batched colocation tick
-# ---------------------------------------------------------------------------
-
-
-class BatchedColocationKernel:
-    """Batched phases 0-3 of ``ColocationExperiment._tick`` (see :meth:`observe`).
-
-    The experiment's world objects (machines, pools, subcontrollers,
-    fault injector, metrics) stay authoritative and are mutated through
-    the experiment's own shared phase helpers; the kernel only swaps the
-    two hot computations — BE rate evaluation and latency sampling — for
-    their SoA counterparts, plus caches each Servpod's (deterministic)
-    effective sensitivity vector.
-    """
-
-    def __init__(self, experiment: "ColocationExperiment") -> None:
-        self._exp = experiment
-        self._pods = list(experiment._runs)
-        self._servpods = {
-            pod: experiment.deployment.servpod(pod) for pod in self._pods
-        }
-        self._machines = {
-            pod: self._servpods[pod].machine for pod in self._pods
-        }
-        self._sensitivities = {
-            pod: self._servpods[pod].effective_sensitivity()
-            for pod in self._pods
-        }
-        self._be = BeRateKernel(experiment.config.isolation)
-        self._sampler = BatchedServiceSampler(experiment.service)
-        # Flat slowdown constants: the sensitivity coefficients in
-        # ``PRESSURE_KINDS`` order plus the interference model's scalar
-        # parameters, hoisted so healthy ticks run the fused fold below
-        # instead of the object path (same arithmetic, same fold order).
-        model = experiment.config.interference
-        self._sens_coeffs = {
-            pod: tuple(
-                self._sensitivities[pod].coefficient(kind)
-                for kind in PRESSURE_KINDS
-            )
-            for pod in self._pods
-        }
-        self._model_consts = (
-            model.gamma,
-            model.beta,
-            model.headroom,
-            model.sigma_coupling,
-            model.sigma_cap,
-        )
-        # BE counter gauges (instances / cores / LLC ways) per pod,
-        # keyed by ``Machine.version`` — every allocation change bumps
-        # it, so a hit is exactly the genexpr-sum recomputation.
-        self._counter_cache: Dict[str, Tuple[int, Tuple[int, int, int]]] = {}
-
-    def be_counters(self, pod: str) -> Tuple[int, int, int]:
-        """``(be_instance_count, be_total_cores, be_total_llc_ways)``
-        for ``pod``'s machine, cached on ``Machine.version``."""
-        machine = self._machines[pod]
-        cached = self._counter_cache.get(pod)
-        if cached is not None and cached[0] == machine.version:
-            return cached[1]
-        gauges = (
-            machine.be_instance_count,
-            machine.be_total_cores,
-            machine.be_total_llc_ways,
-        )
-        self._counter_cache[pod] = (machine.version, gauges)
-        return gauges
-
-    def observe(
-        self, t: float, dt: float
-    ) -> Tuple[float, float, bool, Dict[str, BeResourceSnapshot], Dict[str, LcUsage]]:
-        """Phases 0-3 of one control period: everything up to (but not
-        including) the control decisions.
-
-        Faults advance, the load window opens, BE rates / pressure /
-        Servpod slowdowns are computed, latencies are sampled and BE
-        progress integrates — all of it controller-independent, which is
-        what lets :class:`BakeoffKernel` share one ``observe`` pass
-        across several controller sets. Returns the control-phase inputs
-        ``(load, tail_ms, window_closed, snapshots, usages)``.
-        """
-        exp = self._exp
-        model = exp.config.interference
-        injector = exp._fault_injector
-        window = exp._begin_tick(t, dt)
-        load = window.load
-        realized = window.realized_load
-
-        # Phase 1: physics across all pods — fused scalar BE rates per
-        # machine, shared pressure/slowdown math on top. Healthy ticks
-        # run the flat fold (same expressions, same fold order as
-        # ``InterferenceModel.slowdown`` over a ``Pressure`` built by
-        # ``from_be_snapshot`` — the identity tests pin both); faulted
-        # experiments keep the object path, whose injector hooks rewrite
-        # the pressure vector wholesale.
-        slowdowns: Dict[str, float] = {}
-        inflations: Dict[str, float] = {}
-        snapshots: Dict[str, BeResourceSnapshot] = {}
-        usages: Dict[str, LcUsage] = {}
-        gamma, beta, hroom, coup, cap = self._model_consts
-        for pod in self._pods:
-            machine = self._machines[pod]
-            run = exp._runs[pod]
-            usage = usages[pod] = exp.service.lc_usage(pod, realized)
-            exp._network.apply(machine, usage.net_gbps)
-            snapshot = self._be.be_rates(machine, run.pool.jobs(), usage)
-            snapshots[pod] = snapshot
-            if injector is None:
-                mirror = self._be.mirror(machine)
-                p_cpu = mirror.p_cpu
-                p_llc = mirror.p_llc
-                p_membw = snapshot.membw_fraction
-                p_net = snapshot.net_fraction
-                p_freq = 1.0 - machine.dvfs.ratio(LC_DOMAIN)
-                if p_freq < 0.0:
-                    p_freq = 0.0
-                if (
-                    p_cpu == 0.0
-                    and p_llc == 0.0
-                    and p_membw == 0.0
-                    and p_net == 0.0
-                    and p_freq == 0.0
-                ):
-                    slowdown = 1.0
-                else:
-                    c = self._sens_coeffs[pod]
-                    impact = c[0] * p_cpu**gamma
-                    impact = impact + c[1] * p_llc**gamma
-                    impact = impact + c[2] * p_membw**gamma
-                    impact = impact + c[3] * p_net**gamma
-                    impact = impact + c[4] * p_freq**gamma
-                    lo = realized
-                    if lo < 0.0:
-                        lo = 0.0
-                    elif lo > 1.0:
-                        lo = 1.0
-                    amp = 1.0 + beta * lo / (hroom + (1.0 - lo))
-                    slowdown = 1.0 + amp * impact
-                infl = 1.0 + coup * (slowdown - 1.0)
-                slowdowns[pod] = slowdown
-                inflations[pod] = infl if infl < cap else cap
-            else:
-                pressure = Pressure.from_be_snapshot(
-                    snapshot,
-                    machine.spec.cores,
-                    exp.config.isolation,
-                    lc_freq_ratio=machine.dvfs.ratio(LC_DOMAIN),
-                )
-                pressure = injector.adjust_pressure(machine, pressure)
-                slowdown = model.slowdown(
-                    self._sensitivities[pod], pressure, realized
-                )
-                slowdown *= injector.stall_factor(machine.spec.name)
-                slowdowns[pod] = slowdown
-                inflations[pod] = model.sigma_inflation(slowdown)
-
-        # Phase 2: batched latency sampling over per-tick pod arrays.
-        if window.n_samples > 0:
-            latencies = self._sampler.sample_e2e(
-                realized, window.n_samples, slowdowns, inflations
-            )
-            tail_ms = exp._window_tail(latencies)
-            window_closed = True
-        else:
-            tail_ms = 0.0
-            window_closed = False
-
-        # Phase 3: BE progress from the mirrors' cached job rows —
-        # bit-identical to ``exp._advance_be(dt, snapshots)`` (see
-        # :meth:`BeRateKernel.advance_be`); job-level accumulation is
-        # independent across pods, so pod order cannot matter.
-        be = self._be
-        for pod in self._pods:
-            be.advance_be(self._machines[pod], dt)
-        return load, tail_ms, window_closed, snapshots, usages
-
-
-# ---------------------------------------------------------------------------
 # Fleet-wide SoA: many colocation experiments in lockstep
 # ---------------------------------------------------------------------------
 
@@ -839,6 +493,21 @@ class BatchedColocationKernel:
 #: dominated by its fixed dispatch cost. Both paths are bit-identical,
 #: so the threshold is purely a performance knob.
 _SMALL_FLEET_MACHINES = 8
+
+
+def _tick_times(period_s: float, duration_s: float) -> List[float]:
+    """The scalar engine's tick schedule, float accumulation and all."""
+    times: List[float] = []
+    t = period_s
+    if t <= duration_s:
+        times.append(t)
+        while True:
+            nxt = t + period_s
+            if nxt > duration_s:
+                break
+            times.append(nxt)
+            t = nxt
+    return times
 
 
 class FleetColocationKernel:
@@ -853,41 +522,60 @@ class FleetColocationKernel:
     genuinely stateful per machine (controller decisions, subcontroller
     actions, RNG-driven latency sampling).
 
+    A tick has two halves around the controllers' decisions.
+    :meth:`observe` runs phases 0-3 (load windows, fault transitions, BE
+    rates and progress, slowdowns, latency tails) and returns what a
+    controller reads; :meth:`act` runs phase 4 (the memoized
+    subcontroller applies) and phase 5 (the frequency step, in the
+    kernel's own columns). :meth:`tick` runs the instances' own
+    controllers between the two; :class:`BakeoffKernel` runs its
+    members' controllers there instead.
+
     Identity contract (the PR-2/PR-6 pattern, fleet-wide): running
     ``FleetColocationKernel([e1, .., ek]).run()`` is bit-identical —
     results, metrics, controller history, final RNG states — to running
     ``e1.run(); ..; ek.run()`` sequentially, with or without fault
     schedules and histogram tail estimators.
 
-    How the vectorized path keeps the pin:
+    How the kernel keeps the pin:
 
     - world mutation (launch/kill/grow/shrink/suspend/resume) goes
       through the *same* subcontroller code on the shared machines and
-      pools; the SoA job mirror is invalidated by ``Machine.version``;
+      pools; job rows are reloaded when ``Machine.version`` moves;
     - subcontroller applies are memoized per machine on no-op keys: a
       key can only enter the memo set after an execution that provably
       changed nothing, so skipping a repeat cannot change state (STOP is
       never memoized — its DVFS reset is a side effect the key cannot
       witness). Healthy fleets key on ``(action, version, mem_version)``;
-      faulted fleets use :func:`_memo_key`, the bake-off's key, whose
-      fault-held core/way counts witness the capacity that fault
-      windows take and restore without bumping ``Machine.version``;
-    - BE progress integrates in-place in SoA (elementwise float64 ==
-      python-float arithmetic) and is flushed back to the ``BeJob``
-      objects before any apply that might read or rearrange them;
+      faulted fleets use :func:`_memo_key`, whose fault-held core/way
+      counts witness the capacity that fault windows take and restore
+      without bumping ``Machine.version``;
+    - small fleets write BE progress straight into the ``BeJob`` objects
+      (:meth:`BeRateKernel.advance_be`); large fleets integrate it
+      in-place in SoA (elementwise float64 == python-float arithmetic)
+      and flush it back to the objects before any apply that might read
+      or rearrange them;
     - reductions over a machine's jobs run as padded column sweeps
       (``acc = acc + col``), exact because pads contribute ``+0.0`` to
       non-negative accumulators; the interference impact sum and the
       ``x ** gamma`` terms stay per-machine python arithmetic, where
       vectorized ``np.power`` is known to differ by 1 ulp;
     - per-window tails group instances by ``(n_samples, percentile)``
-      and reduce with one ``np.percentile(stack, pct, axis=1)`` call,
-      bitwise equal per row to the scalar per-instance call; instances
-      with a histogram estimator reduce through their own
-      ``_window_tail``;
-    - metric columns (one ``(machines,)`` array per tick) integrate
-      vectorized and only materialise into ``TickSample`` objects and
-      window-tail replays once, at the end of the run.
+      and reduce with one partitioned percentile per group, bitwise
+      equal per row to the scalar per-instance call; instances with a
+      histogram estimator reduce through their own ``_window_tail``;
+    - metric columns integrate as the run goes and only materialise
+      into ``TickSample`` objects and window-tail replays once, at the
+      end of the run.
+
+    The BE DVFS request and the NIC's BE cap live in kernel columns too,
+    so the world's ``DvfsGovernor`` and NIC go stale during a run.
+    :meth:`sync_world` writes them back, together with SoA progress; a
+    caller that reads or copies the world mid-run (the bake-off's forks
+    and merge digests) must call it first. A kernel built over an
+    experiment mid-run picks up its state from the world: the DVFS
+    *request* (not the cap-clamped frequency), the fault columns and the
+    job rows.
 
     Faults ride the same tick. Each instance's ``ClusterFaultInjector``
     still advances in ``_begin_tick`` and still mutates the shared
@@ -983,7 +671,7 @@ class FleetColocationKernel:
         f_min: List[int] = []
         f_max: List[int] = []
         f_step: List[int] = []
-        f_now: List[int] = []
+        f_req: List[int] = []
         self._cores_i: List[int] = []
         self._iso: List = []
         self._pconst: List[Tuple] = []
@@ -1010,7 +698,7 @@ class FleetColocationKernel:
             f_min.append(dvfs.min_mhz)
             f_max.append(dvfs.max_mhz)
             f_step.append(dvfs.step_mhz)
-            f_now.append(dvfs.frequency(BE_DOMAIN))
+            f_req.append(dvfs.requested(BE_DOMAIN))
             self._iso.append(exp.config.isolation)
             sens = exp.deployment.servpod(pod).effective_sensitivity()
             model = exp.config.interference
@@ -1031,7 +719,6 @@ class FleetColocationKernel:
         self._link_spec = np.asarray(link_spec)
         self._guard = np.asarray(guard)
         self._cores_farr = np.asarray(cores_f)
-        self._sla_arr = np.asarray(sla)
         self._idle_w = np.asarray(idle_w)
         self._active_w = np.asarray(active_w)
         self._hi_w = np.asarray(hi_w)
@@ -1039,11 +726,25 @@ class FleetColocationKernel:
         self._f_min = np.asarray(f_min, dtype=np.int64)
         self._f_max = np.asarray(f_max, dtype=np.int64)
         self._f_step = np.asarray(f_step, dtype=np.int64)
+        self._busy_c_l = busy_c
+        self._membw_c_l = membw_c
+        self._net_c_l = net_c
+        self._link_eff_l = link_eff
+        self._link_spec_l = link_spec
+        self._guard_l = guard
+        self._cores_f_l = cores_f
+        self._sla_l = sla
+        self._idle_l = idle_w
+        self._active_l = active_w
+        self._hi_l = hi_w
+        self._lo_l = lo_w
+        self._f_min_l = f_min
         self._f_max_l = f_max
+        self._f_step_l = f_step
         # The governor's *requested* BE frequency; a fault cap clamps
         # what the hardware runs at (``min(freq, cap)``) without
         # overwriting the request, exactly like ``DvfsGovernor``.
-        self._freq = np.asarray(f_now, dtype=np.int64)
+        self._freq: List[int] = f_req
 
         # -- fault columns (refreshed on fault transitions only) ------------
         # Healthy values are the identity of every op they enter:
@@ -1072,7 +773,17 @@ class FleetColocationKernel:
             )
         self._r3_cache: Dict[Tuple[int, int], float] = {}
 
-        # -- SoA job mirror: padded (machines, job-slots) -------------------
+        # -- job rows --------------------------------------------------------
+        # Under ~8 machines the fixed dispatch cost of each whole-array
+        # numpy op dwarfs the elementwise work, so tiny fleets (single
+        # cells and bake-off branches among them) keep their rows in a
+        # :class:`BeRateKernel` and run the same arithmetic as
+        # per-machine python floats; large fleets keep padded
+        # (machines, job-slots) SoA arrays. Elementwise float64 ops
+        # equal python-float ops bit for bit, so both paths satisfy the
+        # same identity pin.
+        self._small = M <= _SMALL_FLEET_MACHINES
+        self._be = BeRateKernel(M)
         self._cpu_base = np.zeros((M, jmax))
         self._req_cpu = np.ones((M, jmax))
         self._llc_ratio = np.full((M, jmax), np.inf)
@@ -1085,22 +796,21 @@ class FleetColocationKernel:
         self._valid = np.zeros((M, jmax))
         self._nw = np.zeros((M, jmax))
         self._rs = np.zeros((M, jmax))
+        self._md_total = np.zeros(M)
+        self._nd_total = np.zeros(M)
+        self._busy_be = np.zeros(M)
         self._row_jobs: List[List] = [[] for _ in range(M)]
         self._row_ids: List[List[str]] = [[] for _ in range(M)]
         self._row_cache: Dict[Tuple, Tuple] = {}
-        self._busy_be = np.zeros(M)
         self._busy_be_l: List[float] = [0.0] * M
         self._p_cpu_l: List[float] = [0.0] * M
         self._p_llc_l: List[float] = [0.0] * M
-        self._md_total = np.zeros(M)
-        self._nd_total = np.zeros(M)
         self._llc_dem_l: List[float] = [0.0] * M
         self._llc_occ_l: List[float] = [0.0] * M
-        self._cnt_inst = np.zeros(M, dtype=np.int64)
-        self._cnt_cores = np.zeros(M, dtype=np.int64)
-        self._cnt_ways = np.zeros(M, dtype=np.int64)
-        self._njobs = np.zeros(M, dtype=np.int64)
-        self._dirty = set(range(M))
+        self._cnt_inst: List[int] = [0] * M
+        self._cnt_cores: List[int] = [0] * M
+        self._cnt_ways: List[int] = [0] * M
+        self._njobs: List[int] = [0] * M
         self._memo: List[set] = [set() for _ in range(M)]
 
         # -- deferred metric state ------------------------------------------
@@ -1108,59 +818,69 @@ class FleetColocationKernel:
         self._be_int = np.zeros(M)
         self._cpu_int = np.zeros(M)
         self._membw_int = np.zeros(M)
-        self._elapsed = 0.0
-        self._cols: List[Tuple] = []
-        self._acts: List[List[str]] = []
-        self._wins: List[Tuple[List[bool], List[float]]] = []
-        self._last_net: Optional[np.ndarray] = None
-
-        # -- small-fleet python fast path -----------------------------------
-        # Under ~8 machines the fixed dispatch cost of each whole-array
-        # numpy op dwarfs the elementwise work, so tiny fleets (and the
-        # single-experiment batched path that rides this kernel) run the
-        # same arithmetic as per-machine python floats: elementwise
-        # float64 ops equal python-float ops bit for bit, so both paths
-        # satisfy the same identity pin. State lives in python twins of
-        # the SoA columns; each mode touches only its own storage.
-        self._small = M <= _SMALL_FLEET_MACHINES
-        self._rows_py: List[Tuple] = [() for _ in range(M)]
-        self._nw_py: List[List[float]] = [[] for _ in range(M)]
-        self._rs_py: List[List[float]] = [[] for _ in range(M)]
-        self._freq_py: List[int] = list(f_now)
-        self._md_l: List[float] = [0.0] * M
-        self._nd_l: List[float] = [0.0] * M
-        self._cnt_inst_l: List[int] = [0] * M
-        self._cnt_cores_l: List[int] = [0] * M
-        self._cnt_ways_l: List[int] = [0] * M
-        self._njobs_l: List[int] = [0] * M
-        self._busy_c_l = busy_c
-        self._membw_c_l = membw_c
-        self._net_c_l = net_c
-        self._link_eff_l = link_eff
-        self._link_spec_l = link_spec
-        self._guard_l = guard
-        self._cores_f_l = cores_f
-        self._sla_l = sla
-        self._idle_l = idle_w
-        self._active_l = active_w
-        self._hi_l = hi_w
-        self._lo_l = lo_w
-        self._f_min_l = f_min
-        self._f_step_l = f_step
         self._lc_int_l: List[float] = [0.0] * M
         self._be_int_l: List[float] = [0.0] * M
         self._cpu_int_l: List[float] = [0.0] * M
         self._membw_int_l: List[float] = [0.0] * M
-        self._last_net_l: Optional[List[float]] = None
+        self._elapsed = 0.0
+        self._cols: List[Tuple] = []
+        self._acts: List[List[str]] = []
+        self._wins: List[Tuple[List[bool], List[float]]] = []
+
+        # -- the last observe's per-machine outputs -------------------------
+        # Lists on the small path, arrays where the vec path computes
+        # with them (``_lc_busy``, ``_rate_tot``, ``_rate``).
+        self._lc_busy = None
+        self._rate_tot = None
+        self._rate: Optional[np.ndarray] = None
+        self._snap_membw: List[float] = []
+        self._snap_net: List[float] = []
+        self._last_net: Optional[List[float]] = None
+
+        # Pick up the world's current state: the fault columns of any
+        # transition already applied; every job row loads on first use.
+        self._dirty = set(range(M))
+        for i, injector in enumerate(self._injectors):
+            if injector is not None:
+                self._refresh_faults(i)
+
+    def fork(self, experiment: "ColocationExperiment") -> "FleetColocationKernel":
+        """A kernel over ``experiment``, a copy of this one-instance
+        kernel's world taken between :meth:`observe` and :meth:`act`.
+
+        The world must have been synced (:meth:`sync_world`) before it
+        was copied, so the new kernel reads the current DVFS request,
+        fault columns and job rows from it. The memo sets are copied
+        (their verdicts hold for the identical copied world), and this
+        tick's observation is shared for the pending :meth:`act`. The
+        job-row cache is shared outright: its entries are pure functions
+        of their keys, and the copy shares the frozen BE specs whose
+        ids the keys hold.
+        """
+        kernel = FleetColocationKernel([experiment], self._on_tick)
+        kernel._row_cache = self._row_cache
+        kernel._rebuild_dirty()
+        kernel._memo = [set(memo) for memo in self._memo]
+        kernel._lc_busy = self._lc_busy
+        kernel._last_net = self._last_net
+        return kernel
 
     # -- SoA <-> world synchronisation --------------------------------------
+
+    def _rebuild_dirty(self) -> None:
+        for m in sorted(self._dirty):
+            self._rebuild_row(m)
+        self._dirty.clear()
 
     def _rebuild_row(self, m: int) -> None:
         """Reload machine ``m``'s job rows from the world objects.
 
-        Same math, same python fold order as :class:`_MachineMirror`;
-        pads carry the identity elements of every downstream op (0 for
-        sums and rates, 1 for divisors, ``inf`` for min-reductions).
+        The one copy of the job-row math, in the scalar
+        ``compute_be_rates`` fold order. Small fleets install the rows
+        in their :class:`BeRateKernel`; large fleets write them into the
+        padded SoA arrays, whose pads carry the identity elements of
+        every downstream op (0 for sums and rates, 1 for divisors,
+        ``inf`` for min-reductions).
         """
         machine = self._m_mach[m]
         run = self._m_run[m]
@@ -1177,19 +897,6 @@ class FleetColocationKernel:
                 f"machine {machine.spec.name!r} has {len(running)} running BE "
                 f"jobs, fleet rows hold {self._jmax}"
             )
-        if not self._small:
-            self._cpu_base[m, :] = 0.0
-            self._req_cpu[m, :] = 1.0
-            self._llc_ratio[m, :] = np.inf
-            self._membw[m, :] = 0.0
-            self._membw_div[m, :] = 1.0
-            self._membw_mask[m, :] = False
-            self._net[m, :] = 0.0
-            self._net_div[m, :] = 1.0
-            self._net_mask[m, :] = False
-            self._valid[m, :] = 0.0
-            self._nw[m, :] = 0.0
-            self._rs[m, :] = 0.0
         total_membw_demand = 0.0
         total_net_demand = 0.0
         busy_cores = 0.0
@@ -1206,8 +913,6 @@ class FleetColocationKernel:
         net_l: List[float] = []
         net_m: List[bool] = []
         net_d: List[float] = []
-        nw_l: List[float] = []
-        rs_l: List[float] = []
         for job in running:
             spec = job.spec
             alloc = machine.be_allocation(job.job_id)
@@ -1253,8 +958,6 @@ class FleetColocationKernel:
             net_l.append(row[6])
             net_m.append(row[7])
             net_d.append(row[8])
-            nw_l.append(job.normalized_work)
-            rs_l.append(job.running_seconds)
             total_membw_demand += row[3]
             total_net_demand += row[6]
             busy_cores += row[11]
@@ -1262,18 +965,26 @@ class FleetColocationKernel:
             llc_occupied_total += row[10]
         k = len(running)
         if self._small:
-            self._rows_py[m] = (
-                cpu_b, req_c, llc_r, mbw, mbw_m, mbw_d, net_l, net_m, net_d
+            self._be.load(
+                m,
+                running,
+                (cpu_b, req_c, llc_r, mbw, mbw_m, mbw_d, net_l, net_m, net_d),
+                total_membw_demand,
+                total_net_demand,
             )
-            self._nw_py[m] = nw_l
-            self._rs_py[m] = rs_l
-            self._md_l[m] = total_membw_demand
-            self._nd_l[m] = total_net_demand
-            self._cnt_inst_l[m] = machine.be_instance_count
-            self._cnt_cores_l[m] = machine.be_total_cores
-            self._cnt_ways_l[m] = machine.be_total_llc_ways
-            self._njobs_l[m] = k
         else:
+            self._cpu_base[m, :] = 0.0
+            self._req_cpu[m, :] = 1.0
+            self._llc_ratio[m, :] = np.inf
+            self._membw[m, :] = 0.0
+            self._membw_div[m, :] = 1.0
+            self._membw_mask[m, :] = False
+            self._net[m, :] = 0.0
+            self._net_div[m, :] = 1.0
+            self._net_mask[m, :] = False
+            self._valid[m, :] = 0.0
+            self._nw[m, :] = 0.0
+            self._rs[m, :] = 0.0
             if k:
                 self._cpu_base[m, :k] = cpu_b
                 self._req_cpu[m, :k] = req_c
@@ -1285,15 +996,13 @@ class FleetColocationKernel:
                 self._net_mask[m, :k] = net_m
                 self._net_div[m, :k] = net_d
                 self._valid[m, :k] = 1.0
-                self._nw[m, :k] = nw_l
-                self._rs[m, :k] = rs_l
+                self._nw[m, :k] = [job.normalized_work for job in running]
+                self._rs[m, :k] = [job.running_seconds for job in running]
             self._busy_be[m] = busy_cores
             self._md_total[m] = total_membw_demand
             self._nd_total[m] = total_net_demand
-            self._cnt_inst[m] = machine.be_instance_count
-            self._cnt_cores[m] = machine.be_total_cores
-            self._cnt_ways[m] = machine.be_total_llc_ways
-            self._njobs[m] = k
+        self._count(m)
+        self._njobs[m] = k
         self._row_jobs[m] = running
         self._row_ids[m] = [job.job_id for job in running]
         self._busy_be_l[m] = busy_cores
@@ -1307,26 +1016,50 @@ class FleetColocationKernel:
             self._llc_occ_l[m], self._llc_dem_l[m]
         )
 
-    def _flush_row(self, m: int) -> None:
-        """Write accumulated BE progress back into the ``BeJob`` objects.
+    def _count(self, m: int) -> None:
+        """Reload machine ``m``'s BE counter gauges."""
+        machine = self._m_mach[m]
+        self._cnt_inst[m] = machine.be_instance_count
+        self._cnt_cores[m] = machine.be_total_cores
+        self._cnt_ways[m] = machine.be_total_llc_ways
 
-        A dirty row is skipped: its objects are already authoritative
-        (flushed right before the apply that dirtied it, which may have
-        killed jobs and clawed their in-flight work back), and no
-        progress accrues until the row is rebuilt.
+    def _flush_row(self, m: int) -> None:
+        """Write machine ``m``'s SoA BE progress back into its ``BeJob`` objects.
+
+        Only large fleets accrue progress in SoA; a small fleet's objects
+        are always authoritative. A dirty row is skipped: its objects
+        are already authoritative (flushed right before the apply that
+        dirtied it, which may have killed jobs and clawed their
+        in-flight work back), and no progress accrues until the row is
+        rebuilt.
         """
         jobs = self._row_jobs[m]
-        if not jobs or m in self._dirty:
+        if self._small or not jobs or m in self._dirty:
             return
-        if self._small:
-            nw = self._nw_py[m]
-            rs = self._rs_py[m]
-        else:
-            nw = self._nw[m, : len(jobs)].tolist()
-            rs = self._rs[m, : len(jobs)].tolist()
+        nw = self._nw[m, : len(jobs)].tolist()
+        rs = self._rs[m, : len(jobs)].tolist()
         for j, job in enumerate(jobs):
             job.normalized_work = nw[j]
             job.running_seconds = rs[j]
+
+    def sync_world(self) -> None:
+        """Make the world objects authoritative again.
+
+        Writes SoA BE progress into the ``BeJob`` objects, the BE DVFS
+        request into each ``DvfsGovernor`` and this tick's LC traffic
+        into each NIC (which recomputes its BE cap) — the state a
+        deep copy or a world digest reads. Idempotent.
+        """
+        net = self._last_net
+        for m in range(self._n_machines):
+            self._flush_row(m)
+            machine = self._m_mach[m]
+            if self._freq[m] >= self._f_max_l[m]:
+                machine.dvfs.reset(BE_DOMAIN)
+            else:
+                machine.dvfs.set_frequency(BE_DOMAIN, self._freq[m])
+            if net is not None:
+                machine.nic.observe_lc_traffic(net[m])
 
     def _refresh_faults(self, i: int) -> None:
         """Reload instance ``i``'s fault columns after a transition.
@@ -1389,28 +1122,48 @@ class FleetColocationKernel:
             w_real[i] = window.realized_load
             w_n[i] = window.n_samples
         if self._dirty:
-            for m in sorted(self._dirty):
-                self._rebuild_row(m)
-            self._dirty.clear()
+            self._rebuild_dirty()
         return w_load, w_real, w_n
 
     # -- one lockstep tick ---------------------------------------------------
 
     def tick(self, tick_index: int, t: float, dt: float, last: bool) -> None:
         """One control period across the whole fleet."""
-        step = self._tick_small if self._small else self._tick_vec
-        loads, closed, tails, be_rates = step(
-            t, dt, last, self._on_tick is not None
-        )
+        loads, closed, tails = self.observe(t, dt)
+        self.act(self._decide(t, loads, tails, last))
         if self._on_tick is not None:
+            rate_tot = self._rate_tot
+            if not self._small:
+                rate_tot = rate_tot.tolist()
+            be_rates = [0.0] * len(self._exps)
+            for i, rows in enumerate(self._inst_machines):
+                rate_sum = 0.0
+                for m in rows:
+                    rate_sum += rate_tot[m]
+                be_rates[i] = rate_sum
             self._on_tick(tick_index, t, loads, closed, tails, be_rates)
+
+    def observe(
+        self, t: float, dt: float
+    ) -> Tuple[List[float], List[bool], List[float]]:
+        """Phases 0-3 of one control period: everything a controller reads.
+
+        Load windows and fault transitions, BE rates and progress,
+        slowdowns, latency draws and window tails, plus this tick's
+        deferred metric column. Returns per-instance ``(loads, closed,
+        tails)`` and leaves the per-machine observation on the kernel
+        for :meth:`act` and :meth:`sample_fields`.
+        """
+        if self._small:
+            return self._observe_small(t, dt)
+        return self._observe_vec(t, dt)
 
     def _slowdowns(
         self,
         real_l: List[float],
         membw_l: List[float],
         net_l: List[float],
-        lc_net_l: Optional[List[float]],
+        lc_net_l: List[float],
     ) -> Tuple[List[float], List[float]]:
         """Pressure -> slowdown -> sigma inflation, python per machine.
 
@@ -1528,35 +1281,34 @@ class FleetColocationKernel:
                 tails[i] = tail
         return closed, tails
 
-    def _tick_small(
-        self, t: float, dt: float, last: bool, want_obs: bool
-    ) -> Tuple[List[float], List[bool], List[float], List[float]]:
-        """Per-machine python tick for small fleets.
+    def _observe_small(
+        self, t: float, dt: float
+    ) -> Tuple[List[float], List[bool], List[float]]:
+        """Per-machine python observe for small fleets.
 
-        Identical arithmetic to :meth:`_tick_vec`, operand for operand:
-        every whole-array op there is elementwise over machines (or a
-        strictly left-to-right fold over job slots), and elementwise
-        float64 equals python-float arithmetic bit for bit, so both
-        paths land on the same identity pin. ``np.minimum``/``maximum``
-        become ``min``/``max`` — equivalent here because no operand is
-        NaN and no tie mixes signed zeros.
+        Identical arithmetic to :meth:`_observe_vec`, operand for
+        operand: every whole-array op there is elementwise over machines
+        (or a strictly left-to-right fold over job slots), and
+        elementwise float64 equals python-float arithmetic bit for bit,
+        so both paths land on the same identity pin. ``np.minimum``/
+        ``maximum`` become comparisons — equivalent here because no
+        operand is NaN and no tie mixes signed zeros.
         """
-        exps = self._exps
         M = self._n_machines
         m_i = self._m_i
         faulted = self._faulted
+        be = self._be
 
         # Phase 0: fault transitions + load windows (per-instance RNG).
         w_load, w_real, w_n = self._begin_windows(t, dt)
 
-        # Phases 1 + 3 fused per machine: LC usage, NIC caps, headroom
-        # shares, Leontief rates, BE progress.
+        # Phases 1 + 3 per machine: LC usage, NIC caps, headroom,
+        # Leontief rates, BE progress.
         real_l: List[float] = [0.0] * M
         membw_l: List[float] = [0.0] * M
         net_l: List[float] = [0.0] * M
         lc_busy_l: List[float] = [0.0] * M
         lc_net_l: List[float] = [0.0] * M
-        rate_rows: List[List[float]] = [[]] * M
         rate_tot_l: List[float] = [0.0] * M
         busy_tot_l: List[float] = [0.0] * M
         membw_tot_l: List[float] = [0.0] * M
@@ -1576,65 +1328,24 @@ class FleetColocationKernel:
             be_cap = link - self._guard_l[m] * lc_sent
             if be_cap < 0.0:
                 be_cap = 0.0
-            be_cap_frac = be_cap / self._link_spec_l[m]
             headroom = 1.0 - lc_membw
             if headroom < 0.0:
                 headroom = 0.0
-            md = self._md_l[m]
-            membw_scale = 1.0
-            if md > 0.0:
-                membw_scale = headroom / md
-                if membw_scale > 1.0:
-                    membw_scale = 1.0
-            nd = self._nd_l[m]
-            net_scale = 1.0
-            if nd > 0.0:
-                net_scale = be_cap_frac / nd
-                if net_scale > 1.0:
-                    net_scale = 1.0
-            freq = self._freq_py[m]
+            freq = self._freq[m]
             if faulted and self._f_cap_l[m] < freq:
                 freq = self._f_cap_l[m]
-            fratio = freq / self._f_max_l[m]
-            (cpu_b, req_c, llc_r, mbw, mbw_m, mbw_d,
-             net_b, net_m, net_d) = self._rows_py[m]
-            nw = self._nw_py[m]
-            rs = self._rs_py[m]
-            rates: List[float] = [0.0] * len(cpu_b)
-            membw_used = 0.0
-            net_used = 0.0
-            rate_total = 0.0
-            for j in range(len(cpu_b)):
-                r = (cpu_b[j] * fratio) / req_c[j]
-                lr = llc_r[j]
-                if lr < r:
-                    r = lr
-                g_m = mbw[j] * membw_scale
-                if mbw_m[j]:
-                    q = g_m / mbw_d[j]
-                    if q < r:
-                        r = q
-                g_n = net_b[j] * net_scale
-                if net_m[j]:
-                    q = g_n / net_d[j]
-                    if q < r:
-                        r = q
-                if r > 1.0:
-                    r = 1.0
-                elif r < 0.0:
-                    r = 0.0
-                rates[j] = r
-                membw_used = membw_used + g_m
-                net_used = net_used + g_n
-                rate_total = rate_total + r
-                nw[j] = nw[j] + dt * r
-                rs[j] = rs[j] + dt
+            membw_used, net_used, rate_total = be.be_rates(
+                m,
+                freq / self._f_max_l[m],
+                headroom,
+                be_cap / self._link_spec_l[m],
+            )
+            be.advance_be(m, dt)
             snap_membw = membw_used if membw_used < 1.0 else 1.0
             membw_l[m] = snap_membw
             net_l[m] = net_used if net_used < 1.0 else 1.0
             lc_busy_l[m] = lc_busy
             lc_net_l[m] = lc_net
-            rate_rows[m] = rates
             rate_tot_l[m] = rate_total
             busy_tot = lc_busy + self._busy_be_l[m]
             busy_tot_l[m] = busy_tot
@@ -1664,104 +1375,24 @@ class FleetColocationKernel:
                 busy_tot_l,
                 membw_tot_l,
                 rate_tot_l,
-                list(self._cnt_inst_l),
-                list(self._cnt_cores_l),
-                list(self._cnt_ways_l),
-                list(self._njobs_l),
+                list(self._cnt_inst),
+                list(self._cnt_cores),
+                list(self._cnt_ways),
+                list(self._njobs),
             )
         )
         self._wins.append((closed, tails))
+        self._lc_busy = lc_busy_l
+        self._last_net = lc_net_l
+        self._rate_tot = rate_tot_l
+        self._snap_membw = membw_l
+        self._snap_net = net_l
+        return w_load, closed, tails
 
-        # Phase 4: control (same memoized-apply loop as the vec path).
-        acts: List[str] = [""] * M
-        stop = BeAction.STOP_BE
-        for m in range(M):
-            i = m_i[m]
-            exp = exps[i]
-            run = self._m_run[m]
-            machine = self._m_mach[m]
-            action = run.controller.decide(w_load[i], tails[i], t=t)
-            filt = exp.action_filter
-            if filt is not None:
-                action = filt(self._m_pod[m], action)
-            run.last_action = action
-            acts[m] = action.value
-            if last:
-                ids = self._row_ids[m]
-                run.last_snapshot = BeResourceSnapshot(
-                    busy_cores=self._busy_be_l[m],
-                    membw_fraction=membw_l[m],
-                    llc_demand_fraction=self._llc_dem_l[m],
-                    llc_occupied_fraction=self._llc_occ_l[m],
-                    net_fraction=net_l[m],
-                    rates=dict(zip(ids, rate_rows[m][: len(ids)])),
-                )
-            memo = self._memo[m]
-            if faulted:
-                key = _memo_key(self._m_pod[m], action, machine)
-            else:
-                key = (action, machine.version, machine.mem_version)
-            if key in memo:
-                continue
-            self._flush_row(m)
-            v0 = machine.version
-            mv0 = machine.mem_version
-            exp._cpu_llc.apply(action, machine, run.pool)
-            exp._memory.apply(action, machine, run.pool)
-            if action is stop:
-                self._freq_py[m] = self._f_max_l[m]
-            if machine.version != v0:
-                self._dirty.add(m)
-                self._cnt_inst_l[m] = machine.be_instance_count
-                self._cnt_cores_l[m] = machine.be_total_cores
-                self._cnt_ways_l[m] = machine.be_total_llc_ways
-            elif machine.mem_version == mv0 and action is not stop:
-                memo.add(key)
-        self._acts.append(acts)
-
-        # Phase 5: frequency subcontroller per machine (post-apply BE
-        # core counts, python pow cube — same table the vec path uses;
-        # steps start from the capped frequency, like the governor's).
-        r3_cache = self._r3_cache
-        for m in range(M):
-            f = self._freq_py[m]
-            lc_term = lc_busy_l[m]
-            if faulted:
-                if self._f_cap_l[m] < f:
-                    f = self._f_cap_l[m]
-                lc_term = lc_term * self._r3_lc_l[m]
-            mx = self._f_max_l[m]
-            v = r3_cache.get((f, mx))
-            if v is None:
-                v = (f / mx) ** 3
-                r3_cache[(f, mx)] = v
-            power = self._idle_l[m] + self._active_l[m] * (
-                lc_term + self._cnt_cores_l[m] * v
-            )
-            if power > self._hi_l[m]:
-                self._freq_py[m] = max(self._f_min_l[m], f - self._f_step_l[m])
-            elif power < self._lo_l[m]:
-                self._freq_py[m] = min(mx, f + self._f_step_l[m])
-        self._last_net_l = lc_net_l
-
-        be_rates = self._instance_rates(rate_tot_l) if want_obs else []
-        return w_load, closed, tails, be_rates
-
-    def _instance_rates(self, rate_tot_l: List[float]) -> List[float]:
-        """Per-instance BE rate sums (the ``on_tick`` observable)."""
-        be_rates = [0.0] * len(self._exps)
-        for i, rows in enumerate(self._inst_machines):
-            rate_sum = 0.0
-            for m in rows:
-                rate_sum += rate_tot_l[m]
-            be_rates[i] = rate_sum
-        return be_rates
-
-    def _tick_vec(
-        self, t: float, dt: float, last: bool, want_obs: bool
-    ) -> Tuple[List[float], List[bool], List[float], List[float]]:
-        """Whole-array tick over every instance (large fleets)."""
-        exps = self._exps
+    def _observe_vec(
+        self, t: float, dt: float
+    ) -> Tuple[List[float], List[bool], List[float]]:
+        """Whole-array observe over every instance (large fleets)."""
         M = self._n_machines
         faulted = self._faulted
 
@@ -1790,7 +1421,9 @@ class FleetColocationKernel:
 
         # Phase 1c: Leontief rates, exact BeRateKernel op order, at the
         # capped BE frequency.
-        freq = np.minimum(self._freq, self._f_cap) if faulted else self._freq
+        freq = np.asarray(self._freq, dtype=np.int64)
+        if faulted:
+            freq = np.minimum(freq, self._f_cap)
         fratio = freq / self._f_max
         ratios = (self._cpu_base * fratio[:, None]) / self._req_cpu
         ratios = np.minimum(ratios, self._llc_ratio)
@@ -1819,12 +1452,8 @@ class FleetColocationKernel:
         # Phase 1d: pressure -> slowdown -> sigma inflation (python).
         membw_l = snap_membw.tolist()
         net_l = snap_net.tolist()
-        slow_l, infl_l = self._slowdowns(
-            real_m.tolist(),
-            membw_l,
-            net_l,
-            lc_net.tolist() if faulted else None,
-        )
+        lc_net_l = lc_net.tolist()
+        slow_l, infl_l = self._slowdowns(real_m.tolist(), membw_l, net_l, lc_net_l)
 
         # Phase 2: latency sampling per instance (per-instance RNG),
         # tails reduced per (n_samples, percentile) group in one
@@ -1855,49 +1484,108 @@ class FleetColocationKernel:
                 busy_total,
                 membw_total,
                 rate_total,
-                self._cnt_inst.copy(),
-                self._cnt_cores.copy(),
-                self._cnt_ways.copy(),
-                self._njobs.copy(),
+                list(self._cnt_inst),
+                list(self._cnt_cores),
+                list(self._cnt_ways),
+                list(self._njobs),
             )
         )
         self._wins.append((closed, tails))
+        self._lc_busy = lc_busy
+        self._last_net = lc_net_l
+        self._rate_tot = rate_total
+        self._rate = rate
+        self._snap_membw = membw_l
+        self._snap_net = net_l
+        return w_load, closed, tails
 
-        # Phase 4: control — decide is stateful python per machine; the
-        # applies run through the shared subcontrollers, memoized on
-        # no-op keys.
-        busy_l = self._busy_be_l
+    def sample_fields(self, m: int) -> Tuple:
+        """Machine ``m``'s record fields from the last :meth:`observe`.
+
+        ``(busy_cores, membw_utilisation, be_instances, be_cores,
+        be_llc_ways, be_rate)`` as python numbers, counters taken before
+        the applies — exactly what the scalar ``record_tick`` receives.
+        ``be_rate`` is the *int* 0 when no job runs: the scalar path
+        sums an empty rates dict, and fingerprint reprs must match.
+        """
+        _t, _load, _tail, busy, membw, rate, inst, cores, ways, njobs = (
+            self._cols[-1]
+        )
+        return (
+            float(busy[m]),
+            float(membw[m]),
+            inst[m],
+            cores[m],
+            ways[m],
+            float(rate[m]) if njobs[m] else 0,
+        )
+
+    def _decide(
+        self, t: float, loads: List[float], tails: List[float], last: bool
+    ) -> List[BeAction]:
+        """Every machine's controller decision (plus action filter)."""
+        exps = self._exps
+        M = self._n_machines
+        actions: List[BeAction] = [BeAction.STOP_BE] * M
         acts: List[str] = [""] * M
-        stop = BeAction.STOP_BE
         for m in range(M):
             i = self._m_i[m]
-            exp = exps[i]
             run = self._m_run[m]
-            machine = self._m_mach[m]
-            action = run.controller.decide(w_load[i], tails[i], t=t)
-            filt = exp.action_filter
+            action = run.controller.decide(loads[i], tails[i], t=t)
+            filt = exps[i].action_filter
             if filt is not None:
                 action = filt(self._m_pod[m], action)
             run.last_action = action
+            actions[m] = action
             acts[m] = action.value
             if last:
                 ids = self._row_ids[m]
+                if self._small:
+                    rates = self._be.rates[m]
+                else:
+                    rates = self._rate[m, : len(ids)].tolist()
                 run.last_snapshot = BeResourceSnapshot(
-                    busy_cores=busy_l[m],
-                    membw_fraction=membw_l[m],
+                    busy_cores=self._busy_be_l[m],
+                    membw_fraction=self._snap_membw[m],
                     llc_demand_fraction=self._llc_dem_l[m],
                     llc_occupied_fraction=self._llc_occ_l[m],
-                    net_fraction=net_l[m],
-                    rates=dict(zip(ids, rate[m, : len(ids)].tolist())),
+                    net_fraction=self._snap_net[m],
+                    rates=dict(zip(ids, rates)),
                 )
+        self._acts.append(acts)
+        return actions
+
+    def memo_hit(self, m: int, action: BeAction) -> bool:
+        """Whether applying ``action`` on machine ``m`` is a proven no-op."""
+        return self._memo_key(m, action) in self._memo[m]
+
+    def _memo_key(self, m: int, action: BeAction) -> Tuple:
+        machine = self._m_mach[m]
+        if self._faulted:
+            return _memo_key(self._m_pod[m], action, machine)
+        return (action, machine.version, machine.mem_version)
+
+    def act(self, actions: Sequence[BeAction]) -> None:
+        """Phases 4-5: memoized subcontroller applies, then the frequency step.
+
+        ``actions`` holds one decision per machine. The applies run
+        through the instances' shared subcontrollers on the world
+        objects; the frequency subcontroller runs in the kernel's
+        columns (post-apply BE core counts, python pow cube; steps start
+        from the capped frequency and an idle step keeps the request,
+        like ``DvfsGovernor``).
+        """
+        faulted = self._faulted
+        stop = BeAction.STOP_BE
+        for m, action in enumerate(actions):
+            key = self._memo_key(m, action)
             memo = self._memo[m]
-            if faulted:
-                key = _memo_key(self._m_pod[m], action, machine)
-            else:
-                key = (action, machine.version, machine.mem_version)
             if key in memo:
                 continue
             self._flush_row(m)
+            machine = self._m_mach[m]
+            run = self._m_run[m]
+            exp = self._exps[self._m_i[m]]
             v0 = machine.version
             mv0 = machine.mem_version
             exp._cpu_llc.apply(action, machine, run.pool)
@@ -1908,18 +1596,41 @@ class FleetColocationKernel:
                 self._freq[m] = self._f_max_l[m]
             if machine.version != v0:
                 self._dirty.add(m)
-                self._cnt_inst[m] = machine.be_instance_count
-                self._cnt_cores[m] = machine.be_total_cores
-                self._cnt_ways[m] = machine.be_total_llc_ways
+                self._count(m)
             elif machine.mem_version == mv0 and action is not stop:
                 memo.add(key)
-        self._acts.append(acts)
 
-        # Phase 5: frequency subcontroller, whole fleet at once. Uses
-        # post-apply BE core counts, exactly like the scalar pass; power
-        # and steps use the capped frequency, an idle step keeps the
-        # request (the governor's semantics).
-        freq = np.minimum(self._freq, self._f_cap) if faulted else self._freq
+        if not self._small:
+            self._step_frequency_vec()
+            return
+        r3_cache = self._r3_cache
+        lc_busy = self._lc_busy
+        req = self._freq
+        for m in range(self._n_machines):
+            f = req[m]
+            lc_term = lc_busy[m]
+            if faulted:
+                if self._f_cap_l[m] < f:
+                    f = self._f_cap_l[m]
+                lc_term = lc_term * self._r3_lc_l[m]
+            mx = self._f_max_l[m]
+            v = r3_cache.get((f, mx))
+            if v is None:
+                v = (f / mx) ** 3
+                r3_cache[(f, mx)] = v
+            power = self._idle_l[m] + self._active_l[m] * (
+                lc_term + self._cnt_cores[m] * v
+            )
+            if power > self._hi_l[m]:
+                req[m] = max(self._f_min_l[m], f - self._f_step_l[m])
+            elif power < self._lo_l[m]:
+                req[m] = min(mx, f + self._f_step_l[m])
+
+    def _step_frequency_vec(self) -> None:
+        """Phase 5 for the whole fleet at once (same table, same steps)."""
+        faulted = self._faulted
+        req = np.asarray(self._freq, dtype=np.int64)
+        freq = np.minimum(req, self._f_cap) if faulted else req
         if self._r3_table is not None:
             r3 = self._r3_table[(freq - self._r3_base) // self._r3_step]
         else:
@@ -1933,39 +1644,23 @@ class FleetColocationKernel:
                     cache[(f, mx)] = v
                 vals.append(v)
             r3 = np.asarray(vals)
-        lc_term = lc_busy * self._r3_lc if faulted else lc_busy
-        power = self._idle_w + self._active_w * (lc_term + self._cnt_cores * r3)
+        lc_term = self._lc_busy * self._r3_lc if faulted else self._lc_busy
+        power = self._idle_w + self._active_w * (
+            lc_term + np.asarray(self._cnt_cores, dtype=np.int64) * r3
+        )
         down = power > self._hi_w
         up = (~down) & (power < self._lo_w)
         self._freq = np.where(
             down,
             np.maximum(self._f_min, freq - self._f_step),
-            np.where(up, np.minimum(self._f_max, freq + self._f_step), self._freq),
-        )
-        self._last_net = lc_net
-
-        be_rates = self._instance_rates(rate_total.tolist()) if want_obs else []
-        return w_load, closed, tails, be_rates
+            np.where(up, np.minimum(self._f_max, freq + self._f_step), req),
+        ).tolist()
 
     # -- whole runs ----------------------------------------------------------
 
-    def _tick_times(self) -> List[float]:
-        """The scalar engine's tick schedule, float accumulation and all."""
-        times: List[float] = []
-        t = self._period_s
-        if t <= self._duration_s:
-            times.append(t)
-            while True:
-                nxt = t + self._period_s
-                if nxt > self._duration_s:
-                    break
-                times.append(nxt)
-                t = nxt
-        return times
-
     def run(self) -> List["ColocationResult"]:
         """Run every experiment to completion; results in input order."""
-        times = self._tick_times()
+        times = _tick_times(self._period_s, self._duration_s)
         n_ticks = len(times)
         lsum = [0.0] * len(self._exps)
         for k, t in enumerate(times):
@@ -1979,18 +1674,21 @@ class FleetColocationKernel:
         ]
 
     def _finalize(self) -> None:
-        """Flush SoA state back into the world objects and metrics."""
-        if self._small:
-            self._finalize_small()
-            return
+        """Sync the world and materialise the deferred metrics."""
+        self.sync_world()
         M = self._n_machines
         elapsed = self._elapsed
-        lc_l = self._lc_int.tolist()
-        be_l = self._be_int.tolist()
-        cpu_l = self._cpu_int.tolist()
-        mb_l = self._membw_int.tolist()
+        if self._small:
+            lc_l = self._lc_int_l
+            be_l = self._be_int_l
+            cpu_l = self._cpu_int_l
+            mb_l = self._membw_int_l
+        else:
+            lc_l = self._lc_int.tolist()
+            be_l = self._be_int.tolist()
+            cpu_l = self._cpu_int.tolist()
+            mb_l = self._membw_int.tolist()
         for m in range(M):
-            self._flush_row(m)
             metrics = self._m_run[m].metrics
             emu = metrics.emu
             emu._lc_integral = lc_l[m]
@@ -2000,82 +1698,33 @@ class FleetColocationKernel:
             util._cpu_integral = cpu_l[m]
             util._membw_integral = mb_l[m]
             util._elapsed = elapsed
+        sla_l = self._sla_l
+        cores_l = self._cores_f_l
         for col, acts in zip(self._cols, self._acts):
             (t, load_m, tail_m, busy, membw, rate_tot, ci, cc, cw, nj) = col
-            slack = (self._sla_arr - tail_m) / self._sla_arr
-            cpu_u = np.minimum(1.0, busy / self._cores_farr)
-            ll = load_m.tolist()
-            tl = tail_m.tolist()
-            sl = slack.tolist()
-            cl = cpu_u.tolist()
-            mb = membw.tolist()
-            rt = rate_tot.tolist()
-            cil = ci.tolist()
-            ccl = cc.tolist()
-            cwl = cw.tolist()
-            njl = nj.tolist()
-            for m in range(M):
-                self._m_run[m].metrics.samples.append(
-                    TickSample(
-                        t=t,
-                        load=ll[m],
-                        slack=sl[m],
-                        tail_ms=tl[m],
-                        cpu_utilisation=cl[m],
-                        membw_utilisation=mb[m],
-                        be_instances=cil[m],
-                        be_cores=ccl[m],
-                        be_llc_ways=cwl[m],
-                        # An empty rates dict sums to the *int* 0 on the
-                        # scalar path (sum of no floats) — match it so
-                        # fingerprint reprs stay bitwise identical.
-                        be_rate=rt[m] if njl[m] else 0,
-                        action=acts[m],
-                    )
-                )
-        for i, rows in enumerate(self._inst_machines):
-            window_tails = [tl[i] for (cv, tl) in self._wins if cv[i]]
-            for m in rows:
-                self._m_run[m].metrics.tail.record_window_tails(window_tails)
-        # Sync the hardware observables (DVFS frequency, NIC caps) so
-        # post-run machine state matches a scalar run's.
-        freq_l = self._freq.tolist()
-        net_l = self._last_net.tolist() if self._last_net is not None else None
-        self._sync_hardware(freq_l, net_l)
-
-    def _finalize_small(self) -> None:
-        """Python finalize over the small-fleet twins (same values)."""
-        M = self._n_machines
-        elapsed = self._elapsed
-        for m in range(M):
-            self._flush_row(m)
-            metrics = self._m_run[m].metrics
-            emu = metrics.emu
-            emu._lc_integral = self._lc_int_l[m]
-            emu._be_integral = self._be_int_l[m]
-            emu._elapsed = elapsed
-            util = metrics.utilisation
-            util._cpu_integral = self._cpu_int_l[m]
-            util._membw_integral = self._membw_int_l[m]
-            util._elapsed = elapsed
-        for col, acts in zip(self._cols, self._acts):
-            (t, load_m, tail_m, busy, membw, rate_tot, ci, cc, cw, nj) = col
+            if not self._small:
+                load_m = load_m.tolist()
+                tail_m = tail_m.tolist()
+                busy = busy.tolist()
+                membw = membw.tolist()
+                rate_tot = rate_tot.tolist()
             for m in range(M):
                 tail = tail_m[m]
-                sla = self._sla_l[m]
+                sla = sla_l[m]
                 self._m_run[m].metrics.samples.append(
                     TickSample(
                         t=t,
                         load=load_m[m],
                         slack=(sla - tail) / sla,
                         tail_ms=tail,
-                        cpu_utilisation=min(1.0, busy[m] / self._cores_f_l[m]),
+                        cpu_utilisation=min(1.0, busy[m] / cores_l[m]),
                         membw_utilisation=membw[m],
                         be_instances=ci[m],
                         be_cores=cc[m],
                         be_llc_ways=cw[m],
-                        # Same int-0 quirk as the vec path: the scalar
-                        # rates dict sums to the *int* 0 when empty.
+                        # An empty rates dict sums to the *int* 0 on the
+                        # scalar path (sum of no floats) — match it so
+                        # fingerprint reprs stay bitwise identical.
                         be_rate=rate_tot[m] if nj[m] else 0,
                         action=acts[m],
                     )
@@ -2084,19 +1733,6 @@ class FleetColocationKernel:
             window_tails = [tl[i] for (cv, tl) in self._wins if cv[i]]
             for m in rows:
                 self._m_run[m].metrics.tail.record_window_tails(window_tails)
-        self._sync_hardware(self._freq_py, self._last_net_l)
-
-    def _sync_hardware(
-        self, freq_l: List[int], net_l: Optional[List[float]]
-    ) -> None:
-        for m in range(self._n_machines):
-            machine = self._m_mach[m]
-            if freq_l[m] >= self._f_max_l[m]:
-                machine.dvfs.reset(BE_DOMAIN)
-            else:
-                machine.dvfs.set_frequency(BE_DOMAIN, freq_l[m])
-            if net_l is not None:
-                machine.nic.observe_lc_traffic(net_l[m])
 
 
 # ---------------------------------------------------------------------------
@@ -2155,7 +1791,7 @@ class _BakeoffMember:
         # merge time, so no float associativity is ever at stake.
         self.kill_offset = 0
         self.susp_offset = 0
-        self.actions: Dict[str, BeAction] = {}
+        self.actions: List[BeAction] = []
 
 
 #: Distinct-from-everything marker for the memo-normalisation lookup
@@ -2188,38 +1824,42 @@ def _memo_key(pod: str, action: BeAction, machine) -> Tuple:
 class _BakeoffBranch:
     """One materialised world shared by members whose decisions agree."""
 
-    __slots__ = ("exp", "kernel", "members", "memo")
+    __slots__ = ("exp", "kernel", "members")
 
-    def __init__(self, exp, kernel, members, memo) -> None:
+    def __init__(self, exp, kernel, members) -> None:
         self.exp = exp
-        self.kernel = kernel
-        self.members = members  # member indices, ascending
-        # No-op memo in the FleetColocationKernel style: a key (see
-        # :func:`_memo_key`) enters only after an apply that provably
-        # changed nothing, so skipping a repeat cannot change state
-        # (STOP never enters — its DVFS reset is a side effect the key
-        # cannot witness). Used both to skip repeated applies and to
-        # *normalise* action vectors before divergence partitioning:
+        # A one-instance FleetColocationKernel over ``exp``. Its no-op
+        # memo (see :func:`_memo_key`) both skips repeated applies and
+        # *normalises* action vectors before divergence partitioning:
         # two members whose actions differ only on memoized-no-op pods
         # share one world mutation.
-        self.memo = memo
+        self.kernel = kernel
+        self.members = members  # member indices, ascending
 
 
 class BakeoffKernel:
     """Runs N controller sets over one seeded scenario in a single pass.
 
-    The controller-independent physics of a tick — fault advance, load
-    window, BE rates, interference pressure, Servpod latency draws, BE
-    progress — runs **once per branch** through
-    :meth:`BatchedColocationKernel.observe` and is broadcast to every
-    member (controller set) on that branch. Members decide on the shared
-    observation and record their own metrics; their action vectors are
-    then normalised through the branch's no-op memo and partitioned.
-    One partition keeps the branch; each additional partition **forks**
-    a copy-on-write world (``copy.deepcopy`` of the experiment: machine
-    state, pools, RNG streams, fault injector) and applies its own
-    actions — so the cost of divergence is paid only when decisions
-    actually differ in effect.
+    Every branch ticks through a one-instance
+    :class:`FleetColocationKernel`. Its :meth:`~FleetColocationKernel.observe`
+    half — fault advance, load window, BE rates and progress,
+    interference pressure, Servpod latency draws — runs **once per
+    branch** and is broadcast to every member (controller set) on that
+    branch. Members decide on the shared observation and record their
+    own metrics; their action vectors are then normalised through the
+    branch kernel's no-op memo and partitioned. One partition keeps the
+    branch; each additional partition **forks** a copy-on-write world
+    (``copy.deepcopy`` of the experiment: machine state, pools, RNG
+    streams, fault injector) with its own kernel, and each partition
+    runs the :meth:`~FleetColocationKernel.act` half — memoized applies
+    plus the frequency step — on its own world. So the cost of
+    divergence is paid only when decisions actually differ in effect.
+
+    The kernel holds BE DVFS requests and NIC caps in its own columns,
+    so the world objects are synced
+    (:meth:`~FleetColocationKernel.sync_world`) before every fork, every
+    merge digest and the final results; a fork's kernel then starts
+    from its parent's state.
 
     Because controller decisions never change RNG *consumption* (window
     sample counts and latency-draw shapes depend only on the load
@@ -2277,14 +1917,12 @@ class BakeoffKernel:
             }
             self._members.append(_BakeoffMember(name, dict(controllers), metrics))
         # Kernels live on branches, never on the experiment, so world
-        # forks do not deepcopy SoA mirrors (each fork builds a fresh
-        # kernel whose mirrors rebuild on the next version check).
+        # forks do not deepcopy SoA state.
         self._branches: List[_BakeoffBranch] = [
             _BakeoffBranch(
                 experiment,
-                BatchedColocationKernel(experiment),
+                FleetColocationKernel([experiment]),
                 list(range(len(self._members))),
-                set(),
             )
         ]
         self.stats = BakeoffStats(members=len(self._members))
@@ -2292,23 +1930,9 @@ class BakeoffKernel:
 
     # -- the run loop ---------------------------------------------------
 
-    def _tick_times(self) -> List[float]:
-        """The scalar engine's tick schedule, float accumulation and all."""
-        times: List[float] = []
-        t = self._period_s
-        if t <= self._duration_s:
-            times.append(t)
-            while True:
-                nxt = t + self._period_s
-                if nxt > self._duration_s:
-                    break
-                times.append(nxt)
-                t = nxt
-        return times
-
     def run(self) -> "Dict[str, ColocationResult]":
         """Run every member to completion; results keyed by member name."""
-        times = self._tick_times()
+        times = _tick_times(self._period_s, self._duration_s)
         n_ticks = len(times)
         self.stats.ticks = n_ticks
         lsum = 0.0
@@ -2325,6 +1949,7 @@ class BakeoffKernel:
         lc_load_mean = lsum / max(1, n_ticks)
         results: Dict[str, "ColocationResult"] = {}
         for branch in self._branches:
+            branch.kernel.sync_world()
             for mi in branch.members:
                 member = self._members[mi]
                 self._member_branch[member.name] = branch
@@ -2341,29 +1966,18 @@ class BakeoffKernel:
 
     def _tick_branch(self, branch: _BakeoffBranch, t: float, dt: float) -> None:
         self.stats.branch_ticks += 1
-        exp = branch.exp
-        load, tail_ms, window_closed, snapshots, usages = branch.kernel.observe(
-            t, dt
-        )
-        machines = branch.kernel._machines
+        kernel = branch.kernel
+        loads, closed, tails = kernel.observe(t, dt)
+        load = loads[0]
+        tail_ms = tails[0]
+        window_closed = closed[0]
+        pods = self._pods
 
         # Pre-apply machine gauges and per-pod sample fields, computed
         # once and recorded for every member: the world is shared until
         # the apply phase, so each member's scalar run would read these
         # exact values.
-        pod_fields: Dict[str, Tuple] = {}
-        for pod in self._pods:
-            snapshot = snapshots[pod]
-            usage = usages[pod]
-            n_inst, n_cores, n_ways = branch.kernel.be_counters(pod)
-            pod_fields[pod] = (
-                usage.busy_cores + snapshot.busy_cores,
-                min(1.0, usage.membw_fraction + snapshot.membw_fraction),
-                n_inst,
-                n_cores,
-                n_ways,
-                snapshot.total_rate,
-            )
+        pod_fields = [kernel.sample_fields(m) for m in range(len(pods))]
 
         # Decide + record for every member on the shared observation.
         # Machines are per-pod, so recording all members before any
@@ -2373,24 +1987,22 @@ class BakeoffKernel:
         # one frozen ``TickSample`` per distinct (pod, action) is built
         # and shared (every member's sla / core capacity comes from the
         # one scenario service, enforced at construction).
-        sample_cache: Dict[Tuple[str, BeAction], TickSample] = {}
+        sample_cache: Dict[Tuple[int, BeAction], TickSample] = {}
         for mi in branch.members:
             member = self._members[mi]
-            actions: Dict[str, BeAction] = {}
-            for pod in self._pods:
-                actions[pod] = member.controllers[pod].decide(load, tail_ms, t=t)
+            actions = [
+                member.controllers[pod].decide(load, tail_ms, t=t) for pod in pods
+            ]
             member.actions = actions
-            for pod in self._pods:
-                action = actions[pod]
+            for m, pod in enumerate(pods):
+                action = actions[m]
                 metrics = member.metrics[pod]
                 if window_closed:
                     metrics.tail.record_window_tail(tail_ms)
-                key = (pod, action)
+                key = (m, action)
                 sample = sample_cache.get(key)
                 if sample is None:
-                    (busy, membw, n_inst, n_cores, n_ways, be_rate) = (
-                        pod_fields[pod]
-                    )
+                    (busy, membw, n_inst, n_cores, n_ways, be_rate) = pod_fields[m]
                     sla = metrics.sla_ms
                     sample = TickSample(
                         t=t,
@@ -2406,43 +2018,38 @@ class BakeoffKernel:
                         action=action.value,
                     )
                     sample_cache[key] = sample
-                metrics.record_shared_tick(dt, sample, pod_fields[pod][0])
+                metrics.record_shared_tick(dt, sample, pod_fields[m][0])
 
         # Partition members by memo-normalised action vector: a pod
         # whose memo key is a proven no-op is a wildcard — members
         # differing only there share one world mutation. The memo
         # verdict depends only on (pod, action, machine state), so it
         # is resolved once per distinct action and reused.
-        norm: Dict[Tuple[str, BeAction], Optional[BeAction]] = {}
+        norm: Dict[Tuple[int, BeAction], Optional[BeAction]] = {}
         partitions: Dict[Tuple, List[int]] = {}
         for mi in branch.members:
-            member = self._members[mi]
             sig_parts = []
-            for pod in self._pods:
-                action = member.actions[pod]
-                pk = (pod, action)
+            for m, action in enumerate(self._members[mi].actions):
+                pk = (m, action)
                 verdict = norm.get(pk, _UNRESOLVED)
                 if verdict is _UNRESOLVED:
-                    verdict = (
-                        None
-                        if _memo_key(pod, action, machines[pod]) in branch.memo
-                        else action
-                    )
+                    verdict = None if kernel.memo_hit(m, action) else action
                     norm[pk] = verdict
                 sig_parts.append(verdict)
             partitions.setdefault(tuple(sig_parts), []).append(mi)
 
         groups = list(partitions.values())
         if len(groups) > 1:
-            # Lazy divergence forking: clone the pre-apply world once
-            # per extra partition, then let each partition apply its own
-            # actions to its own copy.
+            # Lazy divergence forking: clone the synced pre-apply world
+            # once per extra partition, then let each partition act on
+            # its own copy.
+            kernel.sync_world()
             branch.members = groups[0]
             for group in groups[1:]:
                 fork = self._fork(branch, group)
                 self._branches.append(fork)
-                self._apply(fork, self._members[group[0]].actions, usages)
-        self._apply(branch, self._members[branch.members[0]].actions, usages)
+                fork.kernel.act(self._members[group[0]].actions)
+        kernel.act(self._members[branch.members[0]].actions)
 
     # -- copy-on-write world forking --------------------------------------
 
@@ -2479,15 +2086,17 @@ class BakeoffKernel:
         shared.extend(exp.controllers.values())
         return shared
 
+
     def _fork(self, branch: _BakeoffBranch, group: List[int]) -> _BakeoffBranch:
-        """Clone ``branch``'s world for a diverging member partition.
+        """Clone ``branch``'s (synced) world for a diverging member partition.
 
         The deep copy is seeded with a memo mapping every shared
         scenario object to itself (:meth:`_scenario_shared_state`), so
         only the mutable world state is duplicated. Kernels live on
-        branches, not experiments, so no SoA arrays are copied either —
-        the fork's fresh :class:`BatchedColocationKernel` rebuilds them
-        lazily.
+        branches, not experiments, so no SoA state is copied either:
+        :meth:`FleetColocationKernel.fork` builds the clone's kernel
+        from the clone's world (DVFS request, fault columns, job rows)
+        plus copies of the parent kernel's memo sets.
         """
         self.stats.forks += 1
         exp = branch.exp
@@ -2495,42 +2104,7 @@ class BakeoffKernel:
             id(obj): obj for obj in self._scenario_shared_state(exp)
         }
         clone = copy.deepcopy(exp, memo)
-        return _BakeoffBranch(
-            clone,
-            BatchedColocationKernel(clone),
-            group,
-            set(branch.memo),
-        )
-
-    def _apply(
-        self,
-        branch: _BakeoffBranch,
-        actions: "Dict[str, BeAction]",
-        usages,
-    ) -> None:
-        """Phase 4 actuation in exact scalar order, memoised per branch."""
-        exp = branch.exp
-        machines = branch.kernel._machines
-        for pod in self._pods:
-            machine = machines[pod]
-            run = exp._runs[pod]
-            action = actions[pod]
-            key = _memo_key(pod, action, machine)
-            if key not in branch.memo:
-                v0, mv0 = machine.version, machine.mem_version
-                exp._cpu_llc.apply(action, machine, run.pool)
-                exp._memory.apply(action, machine, run.pool)
-                if (
-                    action is not BeAction.STOP_BE
-                    and machine.version == v0
-                    and machine.mem_version == mv0
-                ):
-                    branch.memo.add(key)
-            exp._frequency.apply(
-                machine,
-                usages[pod].busy_cores,
-                branch.kernel.be_counters(pod)[1],
-            )
+        return _BakeoffBranch(clone, branch.kernel.fork(clone), group)
 
     # -- re-merge detection ---------------------------------------------
 
@@ -2538,6 +2112,7 @@ class BakeoffKernel:
         """Collapse branches whose forward-relevant state re-converged."""
         by_digest: Dict[Tuple, List[_BakeoffBranch]] = {}
         for branch in self._branches:
+            branch.kernel.sync_world()
             by_digest.setdefault(_world_digest(branch.exp), []).append(branch)
         if len(by_digest) == len(self._branches):
             return

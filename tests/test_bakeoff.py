@@ -22,7 +22,7 @@ from repro.baselines.interference import (
     interference_controllers,
 )
 from repro.baselines.predictive import PredictivePolicy, predictive_controllers
-from repro.bejobs.catalog import evaluation_be_jobs
+from repro.bejobs.catalog import CPU_STRESS, evaluation_be_jobs
 from repro.cache import CacheStore
 from repro.cache.keys import CODE_VERSION_SALT
 from repro.core.actions import BeAction
@@ -43,7 +43,7 @@ from repro.experiments.bakeoff import (
     run_member_reference,
 )
 from repro.experiments.colocation import ColocationConfig, ColocationExperiment
-from repro.faults.spec import FaultSchedule
+from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
 from repro.loadgen.patterns import ConstantLoad, DiurnalLoad
 from repro.parallel.grid import colocation_fingerprint
 from repro.sim.kernel import BakeoffKernel
@@ -267,6 +267,69 @@ class TestBakeoffKernelIdentity:
         exp.action_filter = lambda pod, action: action
         with pytest.raises(ConfigurationError):
             BakeoffKernel(exp, {"a": heracles_controllers(service)})
+
+
+class TestForkInsideFaultWindow:
+    """Forks and a re-merge while a fault window is open.
+
+    One fault of each kind covers every machine from 40 s to 70 s. The
+    scripted members share one world while they grow CPU-bound BE work
+    (its rate follows the BE frequency), split at tick 27 (t = 56 s)
+    into a grower, a holder and a stopper, and the late stopper leaves
+    the grower one tick later and re-merges with the stopper (t = 58 s).
+    Under the DVFS cap the holder's machines idle in the power band, so
+    its DVFS *request* stays above the capped frequency until the cap
+    lifts: a fork that took the capped frequency, or healthy fault
+    columns, would diverge from the scalar engine.
+    """
+
+    SPLIT = 27
+
+    def _members(self):
+        allow = BeAction.ALLOW_BE_GROWTH
+        head = {k: allow for k in range(self.SPLIT)}
+        return {
+            "grower": scripted({}, allow),
+            "holder": scripted(head, BeAction.DISALLOW_BE_GROWTH),
+            "stopper": scripted(head, BeAction.STOP_BE),
+            "late": scripted({**head, self.SPLIT: allow}, BeAction.STOP_BE),
+        }
+
+    @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda k: k.value)
+    def test_members_match_scalar_runs(self, kind):
+        service = redis_service()
+        faults = FaultSchedule(
+            faults=(FaultSpec(kind, at_s=40.0, duration_s=30.0, magnitude=0.125),)
+        )
+        config = ColocationConfig(duration_s=90.0, faults=faults)
+        pattern = ConstantLoad(0.5)
+        members = self._members()
+
+        def experiment(controllers_fn, kernel=None):
+            return ColocationExperiment(
+                service,
+                controllers_fn(service),
+                [CPU_STRESS],
+                pattern,
+                streams=RandomStreams(5),
+                config=config,
+                kernel=kernel,
+            )
+
+        kernel = BakeoffKernel(
+            experiment(members["grower"]),
+            {name: fn(service) for name, fn in members.items()},
+        )
+        results = kernel.run()
+        assert kernel.stats.forks >= 3
+        assert kernel.stats.merges >= 1
+        for name, fn in members.items():
+            reference = experiment(fn, kernel="scalar")
+            fingerprint = colocation_fingerprint(reference.run())
+            assert colocation_fingerprint(results[name]) == fingerprint, name
+            assert rng_states(kernel.member_streams(name)) == rng_states(
+                reference.streams
+            ), name
 
 
 class TestBakeoffExperiment:

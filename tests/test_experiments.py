@@ -169,3 +169,37 @@ class TestReport:
         )
         assert "H" in text
         assert "---" in text  # missing cell placeholder
+
+
+#: Clock values no run can tick through: zero/negative durations or
+#: periods, and non-finite values (``nan <= 0`` is False, so a plain
+#: sign check lets them through).
+BAD_CLOCKS = [0.0, -5.0, float("nan"), float("inf"), float("-inf")]
+
+
+class TestClockValidation:
+    """Every experiment config rejects an unusable clock up front."""
+
+    @pytest.mark.parametrize("field", ["duration_s", "control_period_s"])
+    @pytest.mark.parametrize("value", BAD_CLOCKS)
+    def test_colocation_config(self, field, value):
+        with pytest.raises(ExperimentError, match=field):
+            ColocationConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["duration_s", "control_period_s"])
+    @pytest.mark.parametrize("value", BAD_CLOCKS)
+    def test_bakeoff_config(self, field, value):
+        from repro.errors import ConfigurationError
+        from repro.experiments.bakeoff import BakeoffConfig
+
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            BakeoffConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["duration_s", "control_period_s"])
+    @pytest.mark.parametrize("value", BAD_CLOCKS)
+    def test_fleet_config(self, field, value):
+        from repro.errors import ConfigurationError
+        from repro.experiments.fleet import FleetConfig
+
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            FleetConfig(**{field: value})
