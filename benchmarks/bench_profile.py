@@ -8,12 +8,21 @@ each phase:
 - **parallel** — the same sweep tasks and Algorithm-1 walks through the
   persistent process pool;
 - **cold / warm cache** — against a throwaway disk store, asserting the
-  warm re-run executes *zero* sweep simulations.
+  warm re-run executes *zero* sweep simulations;
+- **tracer** — a serial tracer-mode sweep (the phases above use
+  ``profiling_mode="direct"`` and never reach the tracer), timing the
+  whole sweep and, within it, the tracer's own calls (emit plus
+  per-request extraction). With ``--baseline-src`` the same phase also
+  runs against another checkout's ``src`` directory (say, a ``git
+  archive`` of the parent commit) in a subprocess, so the report holds
+  the tracer seconds before and after and checks both sweeps digest
+  the same.
 
 Artifacts from every path are checked bit-identical before anything is
 reported. Run standalone (``PYTHONPATH=src python
-benchmarks/bench_profile.py [--workers 4] [--out BENCH_profile.json]``)
-or via ``pytest benchmarks/bench_profile.py --benchmark-only``.
+benchmarks/bench_profile.py [--workers 4] [--out BENCH_profile.json]
+[--baseline-src DIR]``) or via ``pytest benchmarks/bench_profile.py
+--benchmark-only``.
 
 The ≥2.5× speedup expectation only applies on hardware with enough
 cores; single-core hosts report ``degraded: true`` (pool overhead with
@@ -24,15 +33,19 @@ regression.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from typing import Dict, List, Optional
 
 from bench_env import environment
 from repro.cache.store import CacheStore
+from repro.core.profiler import profile_load_point
 from repro.parallel.pool import get_pool, shutdown_pool
 from repro.parallel.profile import (
     ProfileStats,
@@ -45,6 +58,76 @@ from repro.workloads.catalog import LC_CATALOG
 #: walks have something to fan out.
 BENCH_SERVICES = ("E-commerce", "Redis")
 DEFAULT_REPORT = "BENCH_profile.json"
+
+#: The tracer phase's sweep: the perfbench ``profile-tracer`` services and
+#: loads at its default seed, best of a few repeats.
+TRACER_SERVICES = ("Redis", "Elgg")
+TRACER_LOADS = tuple(round(0.05 * i, 2) for i in range(1, 21))
+TRACER_SEED = 1
+TRACER_REPEATS = 3
+
+
+def tracer_sweep(repeats: int = TRACER_REPEATS) -> Dict[str, object]:
+    """Serial tracer-mode sweep: wall and tracer seconds (best of ``repeats``).
+
+    The tracer's seconds are the time spent inside ``TraceEmitter.emit``
+    and ``SojournExtractor.per_request``, measured by wrapping the two
+    methods for the duration of the sweep.
+    """
+    from repro.tracing.emitter import TraceEmitter
+    from repro.tracing.sojourn import SojournExtractor
+    from repro.workloads.catalog import LC_CATALOG
+
+    specs = [LC_CATALOG[name]() for name in TRACER_SERVICES]
+    spent = [0.0]
+    originals = [
+        (cls, name, cls.__dict__[name])
+        for cls, name in ((TraceEmitter, "emit"), (SojournExtractor, "per_request"))
+    ]
+
+    def timed(fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - t0
+        return wrapper
+
+    sweep_s, tracer_s, digest = [], [], None
+    for cls, name, fn in originals:
+        setattr(cls, name, timed(fn))
+    try:
+        for _ in range(repeats):
+            spent[0] = 0.0
+            t0 = time.perf_counter()
+            points = [
+                profile_load_point(spec, load, root_seed=TRACER_SEED, mode="tracer")
+                for spec in specs
+                for load in TRACER_LOADS
+            ]
+            sweep_s.append(time.perf_counter() - t0)
+            tracer_s.append(spent[0])
+            digest = hashlib.sha256(repr(points).encode("utf-8")).hexdigest()
+    finally:
+        for cls, name, fn in originals:
+            setattr(cls, name, fn)
+    return {
+        "sweep_s": round(min(sweep_s), 4),
+        "tracer_s": round(min(tracer_s), 4),
+        "digest": digest,
+    }
+
+
+def baseline_tracer_sweep(src: str) -> Dict[str, object]:
+    """:func:`tracer_sweep` run in a subprocess against another ``src`` tree."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.abspath(src), here]))
+    code = "import json, bench_profile; print(json.dumps(bench_profile.tracer_sweep()))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 def _profile_all(
@@ -62,9 +145,11 @@ def _profile_all(
 
 
 def run_benchmark(
-    workers: int = 4, out: Optional[str] = DEFAULT_REPORT
+    workers: int = 4,
+    out: Optional[str] = DEFAULT_REPORT,
+    baseline_src: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Time serial/parallel/cached profiling; write and return the report."""
+    """Time serial/parallel/cached/tracer profiling; write and return the report."""
     t0 = time.perf_counter()
     serial = _profile_all(workers=1)
     serial_s = time.perf_counter() - t0
@@ -94,7 +179,20 @@ def run_benchmark(
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
+    tracer = {
+        "services": list(TRACER_SERVICES),
+        "loads": len(TRACER_LOADS),
+        "seed": TRACER_SEED,
+        "repeats": TRACER_REPEATS,
+        **tracer_sweep(),
+    }
     identical = serial == parallel == cold == warm
+    if baseline_src:
+        before = baseline_tracer_sweep(baseline_src)
+        tracer["before"] = before
+        tracer["tracer_speedup"] = round(before["tracer_s"] / tracer["tracer_s"], 3)
+        tracer["sweep_speedup"] = round(before["sweep_s"] / tracer["sweep_s"], 3)
+        identical = identical and before["digest"] == tracer["digest"]
     warm_executed = warm_stats.sweep_executed + warm_stats.slack_executed
     speedup = round(serial_s / parallel_s, 3) if parallel_s > 0 else None
     env = environment(parallel_speedup=speedup)
@@ -116,6 +214,7 @@ def run_benchmark(
             "cold_cache_s": round(cold_s, 4),
             "warm_cache_s": round(warm_s, 4),
         },
+        "tracer": tracer,
         "speedup": speedup,
         "degraded": degraded,
         "warm_sweep_executed": warm_stats.sweep_executed,
@@ -155,12 +254,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--out", default=DEFAULT_REPORT)
+    parser.add_argument(
+        "--baseline-src", default=None,
+        help="another checkout's src directory to time the tracer phase against",
+    )
     args = parser.parse_args()
-    report = run_benchmark(workers=args.workers, out=args.out)
+    report = run_benchmark(
+        workers=args.workers, out=args.out, baseline_src=args.baseline_src
+    )
     print(json.dumps(report, indent=2))
     shutdown_pool()
     if not report["identical_results"]:
-        print("FAIL: parallel profiling diverged from serial")
+        print("FAIL: profiling results diverged (serial, pool, cache or tracer baseline)")
         return 1
     if not report["warm_zero_simulations"]:
         print("FAIL: warm cache re-ran simulations")
@@ -172,7 +277,8 @@ def main() -> int:
         f"{phases['parallel_s']}s ({report['workers']} workers, "
         f"{report['cpu_count']} CPUs) | speedup {report['speedup']}x{note} | "
         f"warm cache {phases['warm_cache_s']}s, zero simulations | "
-        f"report -> {args.out}"
+        f"tracer sweep {report['tracer']['sweep_s']}s "
+        f"(tracer {report['tracer']['tracer_s']}s) | report -> {args.out}"
     )
     return 0
 

@@ -17,6 +17,9 @@ Usage::
 
 from __future__ import annotations
 
+from typing import Dict, List, NamedTuple
+
+import networkx as nx
 import numpy as np
 
 from repro import RandomStreams, lc_service_spec
@@ -28,10 +31,21 @@ from repro.tracing import (
     TraceEmitter,
 )
 from repro.tracing.emitter import default_endpoints
+from repro.tracing.sojourn import SojournStats
 from repro.workloads.service import Service
+from repro.workloads.spec import ServiceSpec
 
 
-def main() -> None:
+class Traced(NamedTuple):
+    """What the clean trace recovered, next to the ground truth."""
+
+    service: ServiceSpec
+    graph: nx.DiGraph
+    stats: Dict[str, SojournStats]
+    truth: Dict[str, List[float]]
+
+
+def main() -> Traced:
     service = lc_service_spec("E-commerce")
     svc = Service(service, RandomStreams(7))
     records = svc.build_request_records(load=0.5, n=200)
@@ -81,6 +95,7 @@ def main() -> None:
     for pod in service.servpod_names:
         print(f"  {pod:10s} mean-only estimate {means[pod].mean_ms:9.3f} ms "
               f"(truth {np.mean(truth[pod]):7.3f} ms)")
+    return Traced(service, graph, stats, truth)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,10 @@ Runs, in order:
    kernel, asserting bit-identity with the sequential scalar
    reference, plus a cold/warm storm round trip that must execute
    zero simulations when warm, then
-10. the tier-1 test suite (``pytest -x -q`` over ``tests/``).
+10. the tracing smoke: ``examples/trace_a_request.py`` end to end,
+    asserting its aggregate causal path graph is the service's call
+    tree and its clean-trace mean sojourns equal the ground truth, then
+11. the tier-1 test suite (``pytest -x -q`` over ``tests/``).
 
 Exit code is non-zero on any failure, so CI can gate pool-runner and
 cache regressions without paying for the full figure grids. Usage::
@@ -586,6 +589,55 @@ def smoke_storm() -> None:
     )
 
 
+def smoke_tracing() -> None:
+    """The tracer example end to end.
+
+    Runs ``examples/trace_a_request.py`` and checks what it recovered
+    from the clean (blocking, ephemeral-TCP) trace: the aggregate causal
+    path graph has exactly the edges of the service's call tree, and
+    every Servpod's traced mean sojourn equals its ground-truth mean.
+    """
+    import contextlib
+    import io
+    import math
+    import runpy
+
+    from repro.tracing.cpg import CLIENT_NODE
+
+    t0 = time.perf_counter()
+    example = runpy.run_path(str(REPO_ROOT / "examples" / "trace_a_request.py"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        traced = example["main"]()
+    elapsed = time.perf_counter() - t0
+
+    calls = set()
+
+    def walk(node) -> None:
+        for child in node.children:
+            calls.add((node.servpod, child.servpod))
+            walk(child)
+
+    for rtype in traced.service.request_types:
+        calls.add((CLIENT_NODE, rtype.root.servpod))
+        walk(rtype.root)
+    if set(traced.graph.edges) != calls:
+        raise AssertionError(
+            f"traced CPG edges {sorted(traced.graph.edges)} are not the "
+            f"call tree {sorted(calls)}"
+        )
+    for pod, values in traced.truth.items():
+        truth = sum(values) / len(values)
+        if not math.isclose(traced.stats[pod].mean_ms, truth, rel_tol=1e-9):
+            raise AssertionError(
+                f"traced mean sojourn at {pod} is {traced.stats[pod].mean_ms} ms, "
+                f"ground truth {truth} ms"
+            )
+    print(
+        f"smoke tracing OK: {len(calls)}-edge call tree recovered, "
+        f"{len(traced.truth)} traced means equal the ground truth ({elapsed:.1f}s)"
+    )
+
+
 def run_tier1() -> int:
     """The repo's tier-1 suite, exactly as the roadmap invokes it."""
     env = dict(**__import__("os").environ)
@@ -614,6 +666,7 @@ def main() -> int:
     smoke_fleet_cache()
     smoke_bakeoff()
     smoke_storm()
+    smoke_tracing()
     if args.skip_tests:
         return 0
     return run_tier1()

@@ -22,7 +22,10 @@
 #      independent reference runs, healthy and faulted, with a warm
 #      cache re-run executing zero shared passes, and the storm smoke:
 #      a correlated fault storm bit-identical to the scalar reference
-#      with a warm re-run executing zero simulations)
+#      with a warm re-run executing zero simulations, and the tracing
+#      smoke: examples/trace_a_request.py end to end, its aggregate
+#      causal path graph equal to the service call tree and its
+#      clean-trace mean sojourns equal to the ground truth)
 #      from scripts/bench_smoke.py, then
 #   3. (opt-in, RHYTHM_BENCH_GATE=1) the full kernel benchmark with a 5x
 #      aggregate-speedup gate (benchmarks/bench_kernel.py --gate 5.0),

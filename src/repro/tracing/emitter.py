@@ -20,14 +20,15 @@ Realism knobs (all per the paper's §3.3 discussion):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TracingError
-from repro.tracing.events import ContextId, EventType, MessageId, SysEvent
-from repro.workloads.request import RequestRecord, SojournSegment
+from repro.tracing.events import ACCEPT, CLOSE, RECV, SEND, COLUMNS, EventTable
+from repro.workloads.request import RequestRecord
 
 #: The client's synthetic endpoint.
 CLIENT_IP = "10.0.0.1"
@@ -37,6 +38,17 @@ CLIENT_PROGRAM = "loadgen"
 _EPHEMERAL_BASE = 20000
 #: Fixed source port used by persistent connections.
 _PERSISTENT_PORT = 4000
+
+#: Bounds of the full-range int64 draw behind the noise's SEND/RECV coin.
+_INT64 = np.iinfo(np.int64)
+
+#: Programs of the unrelated processes that make up the noise.
+_NOISE_PROGRAMS = ("kworker", "sshd", "systemd-journal", "cron")
+
+#: Event types of one caller→callee edge, in capture order: SEND at the
+#: caller, (ACCEPT,) RECV at the callee, SEND at the callee, RECV at the
+#: caller, (CLOSE) — ACCEPT and CLOSE only on client edges.
+_EDGE_ETYPES = np.array([SEND, ACCEPT, RECV, SEND, RECV, CLOSE])
 
 
 @dataclass(frozen=True)
@@ -65,6 +77,12 @@ class EmitterConfig:
     #: strictly precedes its peer RECV's).
     hop_ms: float = 0.02
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("noise_per_request", "hop_ms"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise TracingError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def default_endpoints(servpods: Iterable[str]) -> Dict[str, ServpodEndpoint]:
@@ -98,147 +116,147 @@ class TraceEmitter:
 
     # -- public API ----------------------------------------------------------
 
-    def emit(self, records: Iterable[RequestRecord]) -> List[SysEvent]:
+    def emit(self, records: Iterable[RequestRecord]) -> EventTable:
         """Emit the time-sorted event stream for ``records`` (plus noise)."""
-        events: List[SysEvent] = []
-        n_requests = 0
-        t_min, t_max = float("inf"), float("-inf")
-        for record in records:
-            n_requests += 1
-            events.extend(self._emit_request(record))
-        if events:
-            t_min = min(e.timestamp for e in events)
-            t_max = max(e.timestamp for e in events)
-            events.extend(self._emit_noise(n_requests, t_min, t_max))
-        events.sort(key=SysEvent.sort_key)
-        return events
+        strings: Dict[str, int] = {}
+        columns, n_requests = self._emit_requests(records, strings)
+        if len(columns["timestamp"]):
+            t = columns["timestamp"]
+            noise = self._emit_noise(n_requests, t.min(), t.max(), strings)
+            columns = {name: np.concatenate([col, noise[name]]) for name, col in columns.items()}
+        return EventTable.from_columns(list(strings), columns)
 
     # -- request expansion -----------------------------------------------
 
-    def _emit_request(self, record: RequestRecord) -> List[SysEvent]:
-        events: List[SysEvent] = []
-        segments = {seg.seg_id: seg for seg in record.segments}
-        for seg in record.segments:
-            parent = segments.get(seg.parent_seg)
-            events.extend(self._emit_edge(record, seg, parent))
-        return events
-
-    def _emit_edge(
-        self,
-        record: RequestRecord,
-        seg: SojournSegment,
-        parent: Optional[SojournSegment],
-    ) -> List[SysEvent]:
-        """Events for the caller→callee edge ending at ``seg``.
+    def _emit_requests(
+        self, records: Iterable[RequestRecord], strings: Dict[str, int]
+    ) -> Tuple[Dict[str, np.ndarray], int]:
+        """Columns of every caller→callee edge's events, and the request count.
 
         Four data events per edge: SEND at the caller, RECV at the callee
         (request direction), then SEND at the callee and RECV at the
-        caller (reply direction).
+        caller (reply direction); client edges add ACCEPT and CLOSE at the
+        entry Servpod. Rows come edge by edge in record order, each edge's
+        events in :data:`_EDGE_ETYPES` order, so the stable sort breaks
+        timestamp ties as the capture would.
         """
-        callee = self._endpoint(seg.servpod)
-        if parent is None:
-            caller_ip, caller_ctx = CLIENT_IP, self._client_context(record)
-        else:
-            caller_ep = self._endpoint(parent.servpod)
-            caller_ip = caller_ep.host_ip
-            caller_ctx = self._pod_context(caller_ep, record)
-        callee_ctx = self._pod_context(callee, record)
+        # Endpoint 0 is the client; Servpods follow in registration order.
+        index = {name: i for i, name in enumerate(self.endpoints, start=1)}
+        edges = []
+        n_requests = 0
+        for record in records:
+            n_requests += 1
+            segments = {seg.seg_id: seg for seg in record.segments}
+            for seg in record.segments:
+                parent = segments.get(seg.parent_seg)
+                edges.append((
+                    0 if parent is None else self._index(index, parent.servpod),
+                    self._index(index, seg.servpod),
+                    record.t_start,
+                    seg.arrive,
+                    seg.depart,
+                    record.request_id,
+                ))
+        if not edges:
+            return {name: np.zeros(0, dtype=dtype) for name, dtype in COLUMNS.items()}, n_requests
+        caller, callee, t0, arrive, depart, rid = (np.array(col) for col in zip(*edges))
+        n_edges = len(edges)
+        size = self._rng.integers(200, 4000, size=n_edges)
+        if self.config.persistent_connections:
+            port = np.full(n_edges, _PERSISTENT_PORT)
+        else:  # ephemeral: a fresh source port per edge
+            port = _EPHEMERAL_BASE + self._port_counter + np.arange(1, n_edges + 1)
+            self._port_counter += n_edges
 
-        src_port = self._source_port(caller_ip, callee)
-        size = int(self._rng.integers(200, 4000))
-        msg_req = MessageId(
-            sender_ip=caller_ip,
-            sender_port=src_port,
-            receiver_ip=callee.host_ip,
-            receiver_port=callee.listen_port,
-            size=size,
-        )
-        msg_reply = msg_req.reversed()
-        t0 = record.t_start
-        hop = self.config.hop_ms
+        code = lambda s: strings.setdefault(s, len(strings))  # noqa: E731
+        eps = list(self.endpoints.values())
+        ip = np.array([code(CLIENT_IP)] + [code(ep.host_ip) for ep in eps])
+        program = np.array([code(CLIENT_PROGRAM)] + [code(ep.program) for ep in eps])
+        pid = np.array([1] + [ep.pid for ep in eps])
+        listen = np.array([-1] + [ep.listen_port for ep in eps])[callee]
+        tid = rid if self.config.blocking else np.ones(n_edges, dtype=np.int64)
+
+        def slots(*cols):
+            """An (edge, slot) matrix; one column fills every slot."""
+            cols = cols * len(_EDGE_ETYPES) if len(cols) == 1 else cols
+            return np.stack([np.broadcast_to(col, (n_edges,)) for col in cols], axis=1)
+
         # Request executions place the callee's arrival/departure stamps;
         # the wire adds one hop on each direction.
-        send_req_t = t0 + seg.arrive - hop
-        recv_req_t = t0 + seg.arrive
-        send_reply_t = t0 + seg.depart
-        recv_reply_t = t0 + seg.depart + hop
-
-        rid = record.request_id
-        events = [
-            SysEvent(EventType.SEND, send_req_t, caller_ctx, msg_req, rid),
-            SysEvent(EventType.RECV, recv_req_t, callee_ctx, msg_req, rid),
-            SysEvent(EventType.SEND, send_reply_t, callee_ctx, msg_reply, rid),
-            SysEvent(EventType.RECV, recv_reply_t, caller_ctx, msg_reply, rid),
-        ]
-        if parent is None and self.config.emit_accept_close:
-            events.insert(
-                1, SysEvent(EventType.ACCEPT, recv_req_t, callee_ctx, None, rid)
-            )
-            events.append(
-                SysEvent(EventType.CLOSE, send_reply_t, callee_ctx, None, rid)
-            )
-        return events
+        hop = self.config.hop_ms
+        t_in, t_out = t0 + arrive, t0 + depart
+        none = -1
+        where = slots(caller, callee, callee, callee, caller, callee)
+        keep = np.ones((n_edges, len(_EDGE_ETYPES)), dtype=bool)
+        at_entry = (_EDGE_ETYPES == ACCEPT) | (_EDGE_ETYPES == CLOSE)
+        keep[:, at_entry] = (caller == 0)[:, None] & self.config.emit_accept_close
+        columns = {
+            "timestamp": slots(t_in - hop, t_in, t_in, t_out, t_out + hop, t_out),
+            "etype": slots(*_EDGE_ETYPES),
+            "host": ip[where],
+            "program": program[where],
+            "pid": pid[where],
+            "tid": slots(tid),
+            # request messages flow caller→callee, replies callee→caller
+            "src_ip": slots(ip[caller], none, ip[caller], ip[callee], ip[callee], none),
+            "src_port": slots(port, none, port, listen, listen, none),
+            "dst_ip": slots(ip[callee], none, ip[callee], ip[caller], ip[caller], none),
+            "dst_port": slots(listen, none, listen, port, port, none),
+            "size": slots(size, none, size, size, size, none),
+            "request_id": slots(rid),
+        }
+        return {name: col[keep] for name, col in columns.items()}, n_requests
 
     # -- identity helpers ------------------------------------------------
 
-    def _endpoint(self, servpod: str) -> ServpodEndpoint:
+    @staticmethod
+    def _index(index: Dict[str, int], servpod: str) -> int:
         try:
-            return self.endpoints[servpod]
+            return index[servpod]
         except KeyError:
             raise TracingError(f"no endpoint registered for Servpod {servpod!r}") from None
 
-    def _client_context(self, record: RequestRecord) -> ContextId:
-        return ContextId(
-            host_ip=CLIENT_IP,
-            program=CLIENT_PROGRAM,
-            pid=1,
-            tid=record.request_id if self.config.blocking else 1,
-        )
-
-    def _pod_context(self, endpoint: ServpodEndpoint, record: RequestRecord) -> ContextId:
-        """Blocking pods run one thread per request; non-blocking share one."""
-        tid = record.request_id if self.config.blocking else 1
-        return ContextId(
-            host_ip=endpoint.host_ip,
-            program=endpoint.program,
-            pid=endpoint.pid,
-            tid=tid,
-        )
-
-    def _source_port(self, caller_ip: str, callee: ServpodEndpoint) -> int:
-        """Ephemeral: unique per edge. Persistent: one pooled connection."""
-        if self.config.persistent_connections:
-            return _PERSISTENT_PORT
-        self._port_counter += 1
-        return _EPHEMERAL_BASE + self._port_counter
-
     # -- noise -----------------------------------------------------------------
 
-    def _emit_noise(self, n_requests: int, t_min: float, t_max: float) -> List[SysEvent]:
+    def _emit_noise(
+        self, n_requests: int, t_min: float, t_max: float, strings: Dict[str, int]
+    ) -> Dict[str, np.ndarray]:
         """Unrelated-process events the matcher must filter out."""
         n = int(round(self.config.noise_per_request * n_requests))
-        if n <= 0:
-            return []
-        noise_programs = ("kworker", "sshd", "systemd-journal", "cron")
-        events: List[SysEvent] = []
-        pods = list(self.endpoints.values())
-        times = self._rng.uniform(t_min, t_max, size=n)
-        for i in range(n):
-            pod = pods[int(self._rng.integers(0, len(pods)))]
-            program = noise_programs[int(self._rng.integers(0, len(noise_programs)))]
-            ctx = ContextId(
-                host_ip=pod.host_ip,
-                program=program,
-                pid=int(self._rng.integers(2, 999)),
-                tid=int(self._rng.integers(1, 64)),
-            )
-            etype = EventType.SEND if self._rng.random() < 0.5 else EventType.RECV
-            msg = MessageId(
-                sender_ip=f"172.16.{self._rng.integers(0, 255)}.{self._rng.integers(1, 255)}",
-                sender_port=int(self._rng.integers(1024, 65535)),
-                receiver_ip=pod.host_ip,
-                receiver_port=int(self._rng.integers(1024, 65535)),
-                size=int(self._rng.integers(40, 1500)),
-            )
-            events.append(SysEvent(etype, float(times[i]), ctx, msg, request_id=-1))
-        return events
+        times = self._rng.uniform(t_min, t_max, size=n) if n else np.zeros(0)
+        # Per event, in draw order: the Servpod host, the program, pid and
+        # tid, a fair SEND/RECV coin, two sender-IP octets, the sender and
+        # receiver ports and the size. numpy draws array-bounded integers
+        # element by element exactly as it draws scalars, so one call makes
+        # the same draws as one call per field. The coin is a full-range
+        # draw: a uniform double is its raw 64 bits >> 11 times 2**-53, so
+        # it is below 0.5 exactly when the raw draw is below 2**63, i.e.
+        # when the full-range int64 draw is negative.
+        low = np.array([0, 0, 2, 1, _INT64.min, 0, 1, 1024, 1024, 40])
+        high = np.array(
+            [len(self.endpoints) - 1, len(_NOISE_PROGRAMS) - 1, 998, 63,
+             _INT64.max, 254, 254, 65534, 65534, 1499]
+        )
+        draws = self._rng.integers(
+            np.tile(low, n), np.tile(high, n), endpoint=True
+        ).reshape(n, len(low))
+        host, program, pid, tid, coin, octet3, octet4, sport, dport, size = draws.T
+        code = lambda s: strings.setdefault(s, len(strings))  # noqa: E731
+        pod_ips = np.array([code(pod.host_ip) for pod in self.endpoints.values()])
+        programs = np.array([code(program) for program in _NOISE_PROGRAMS])
+        senders = [code(f"172.16.{a}.{b}") for a, b in zip(octet3.tolist(), octet4.tolist())]
+        host = pod_ips[host]
+        return {
+            "timestamp": times,
+            "etype": np.where(coin < 0, SEND, RECV),
+            "host": host,
+            "program": programs[program],
+            "pid": pid,
+            "tid": tid,
+            "src_ip": np.array(senders, dtype=np.int64),
+            "src_port": sport,
+            "dst_ip": host,
+            "dst_port": dport,
+            "size": size,
+            "request_id": np.full(n, -1),
+        }

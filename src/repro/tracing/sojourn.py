@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import TracingError
 from repro.metrics.streaming import WelfordAccumulator
-from repro.tracing.causality import CausalityMatcher
+from repro.tracing.causality import CausalityMatcher, DecodedEvents, Events, first_seen
 from repro.tracing.cpg import CausalPathGraph
-from repro.tracing.events import SysEvent
+from repro.tracing.events import EventTable
 from repro.tracing.health import TraceHealth
 
 
@@ -49,10 +51,10 @@ class SojournExtractor:
     def __init__(self, matcher: CausalityMatcher) -> None:
         self.matcher = matcher
 
-    def per_request(self, events: Iterable[SysEvent]) -> Dict[str, List[float]]:
+    def per_request(self, events: Events) -> Dict[str, List[float]]:
         """Exact per-request sojourn lists per Servpod (blocking traces)."""
         cpg = CausalPathGraph(self.matcher)
-        paths = cpg.reconstruct_requests(list(events))
+        paths = cpg.reconstruct_requests(events)
         if not paths:
             raise TracingError("no requests could be reconstructed from the trace")
         out: Dict[str, List[float]] = defaultdict(list)
@@ -61,22 +63,19 @@ class SojournExtractor:
                 out[pod].append(sojourn)
         return dict(out)
 
-    def e2e_latencies(self, events: Iterable[SysEvent]) -> List[float]:
+    def e2e_latencies(self, events: Events) -> List[float]:
         """Client-observed end-to-end latencies (ms)."""
-        return self.matcher.client_latencies(self.matcher.filter(list(events)))
+        return self.matcher.client_latencies(self.matcher.filter(events))
 
-    def mean_only(self, events: Iterable[SysEvent]) -> Dict[str, SojournStats]:
+    def mean_only(self, events: Events) -> Dict[str, SojournStats]:
         """Mismatch-proof mean sojourns: (ΣSEND − ΣRECV) / #visits.
 
         ``std_ms`` is reported as 0 because individual spans are not
         trustworthy under scrambled pairings — only their sum is.
         """
-        clean = self.matcher.filter(list(events))
-        segments = self.matcher.intra_segments(clean)
-        visits = self.matcher.entry_recv_count(clean)
-        span_sum: Dict[str, float] = defaultdict(float)
-        for seg in segments:
-            span_sum[seg.servpod] += seg.span_ms
+        trace = self.matcher.clean(events)
+        visits = trace.visits()
+        span_sum, _ = _span_sums(trace)
         stats = {}
         for pod, total in span_sum.items():
             n = visits.get(pod, 0)
@@ -88,7 +87,7 @@ class SojournExtractor:
         return stats
 
     def robust_stats(
-        self, events: Iterable[SysEvent]
+        self, events: Events
     ) -> Tuple[Dict[str, SojournStats], TraceHealth]:
         """Mean sojourns from a possibly corrupted stream: skip and flag.
 
@@ -107,23 +106,14 @@ class SojournExtractor:
           exceed the end-to-end time of the slowest request).
         """
         health = TraceHealth()
-        raw = list(events)
+        raw = EventTable.from_events(events)
         health.events_seen = len(raw)
-        clean = self.matcher.filter(raw)
-        health.events_filtered = len(raw) - len(clean)
-        segments = self.matcher.intra_segments(clean, health=health)
-        visits = self.matcher.entry_recv_count(clean)
-        span_sum: Dict[str, float] = defaultdict(float)
-        span_count: Dict[str, int] = defaultdict(int)
-        for seg in segments:
-            span = seg.span_ms
-            if span < 0:
-                health.spans_clamped += 1
-                span = 0.0
-            span_sum[seg.servpod] += span
-            span_count[seg.servpod] += 1
-        e2e = self.matcher.client_latencies(clean)
-        bound = max(e2e) if e2e else None
+        trace = self.matcher.clean(raw)
+        health.events_filtered = len(raw) - len(trace.table)
+        span_sum, span_count = _span_sums(trace, health)
+        visits = trace.visits()
+        e2e = trace.client_latencies()
+        bound = float(e2e.max()) if len(e2e) else None
         stats: Dict[str, SojournStats] = {}
         for pod in sorted(set(span_sum) | set(visits)):
             n = visits.get(pod, 0)
@@ -142,7 +132,7 @@ class SojournExtractor:
             )
         return stats, health
 
-    def stats(self, events: Iterable[SysEvent]) -> Dict[str, SojournStats]:
+    def stats(self, events: Events) -> Dict[str, SojournStats]:
         """Full per-request statistics (mean, std, CoV) per Servpod.
 
         Uses single-pass Welford accumulation instead of the naive
@@ -161,3 +151,30 @@ class SojournExtractor:
                 std_ms=acc.std(ddof=1),
             )
         return out
+
+
+def _span_sums(
+    trace: DecodedEvents, health: Optional[TraceHealth] = None
+) -> Tuple[Dict[str, float], Dict[str, int]]:
+    """Per-Servpod span sums and counts of the matched segments.
+
+    Sums run in segment order and are keyed in first-seen order. Given a
+    ``health`` record (the tolerant path), negative spans — late-delivered
+    SENDs — count as 0 and are tallied there with the match counts.
+    """
+    recv, send = trace.segments(health)
+    t = trace.table.timestamp
+    spans = t[send] - t[recv]
+    if health is not None:
+        negative = spans < 0
+        health.spans_clamped += int(negative.sum())
+        spans = np.where(negative, 0.0, spans)
+    pod = trace.pod[send]
+    totals = np.zeros(len(trace.pods))
+    np.add.at(totals, pod, spans)
+    counts = np.bincount(pod, minlength=len(trace.pods))
+    order = first_seen(pod)
+    return (
+        {trace.pods[i]: float(totals[i]) for i in order},
+        {trace.pods[i]: int(counts[i]) for i in order},
+    )
