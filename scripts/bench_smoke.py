@@ -356,9 +356,17 @@ def smoke_fleet() -> None:
 
     A small mixed fleet (one fault-injected instance) through the fleet
     SoA kernel must match the sequential scalar reference digest, and a
-    2-shard split of the same fleet must match the 1-shard run.
+    2-shard split of the same fleet must match the 1-shard run. That
+    fleet has 8 machines, which the kernel runs on its small-fleet
+    python path; a 12-machine Rhythm fleet covers the whole-array path
+    (and its in-place row patches) the same way, at 1 and 2 shards.
     """
-    from repro.experiments.fleet import fleet_identity_probe
+    from repro.experiments.fleet import (
+        FleetConfig,
+        alibaba_fleet,
+        fleet_identity_probe,
+    )
+    from repro.sim.kernel import _SMALL_FLEET_MACHINES
 
     t0 = time.perf_counter()
     case = {"n_instances": 4, "duration_s": 40.0, "seed": 5, "with_faults": True}
@@ -367,9 +375,26 @@ def smoke_fleet() -> None:
         raise AssertionError("fleet kernel diverged from the scalar reference")
     if fleet_identity_probe("fleet", shards=2, **case) != reference:
         raise AssertionError("fleet results changed with the shard count")
+
+    def rhythm_fleet(shards: int):
+        config = FleetConfig(duration_s=60.0, shards=shards, workers=1, zone_size=2)
+        return alibaba_fleet(
+            12, policy="rhythm", duration_s=60.0, seed=5, config=config
+        )
+
+    vec_reference = rhythm_fleet(1).run_reference()
+    if vec_reference.n_machines <= _SMALL_FLEET_MACHINES:
+        raise AssertionError("the rhythm smoke fleet no longer reaches the vector path")
+    for shards in (1, 2):
+        if rhythm_fleet(shards).run().digest != vec_reference.digest:
+            raise AssertionError(
+                f"{vec_reference.n_machines}-machine rhythm fleet diverged from "
+                f"the scalar reference at {shards} shard(s)"
+            )
     elapsed = time.perf_counter() - t0
     print(
-        f"smoke fleet OK: 4-instance mixed fleet bit-identical to the "
+        f"smoke fleet OK: 4-instance mixed fleet and "
+        f"{vec_reference.n_machines}-machine rhythm fleet bit-identical to the "
         f"sequential scalar reference, shard-count invariant ({elapsed:.1f}s)"
     )
 

@@ -12,6 +12,7 @@ or cache ways that do not exist).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -31,6 +32,10 @@ FAULT_OWNER = "__fault__"
 #: DVFS domain names.
 LC_DOMAIN = "lc"
 BE_DOMAIN = "be"
+
+#: Relative error bound per float operation for the BE memory estimate:
+#: eight times the unit roundoff (2**-53) of round-to-nearest float64.
+_ROUNDING = 2.0**-50
 
 
 @dataclass(frozen=True)
@@ -113,22 +118,48 @@ class Machine:
         be_initial_memory_gb: float = 2.0,
         be_memory_step_gb: float = 0.1,
     ) -> None:
+        be_initial_cores = int(be_initial_cores)
+        be_initial_memory_gb = float(be_initial_memory_gb)
+        be_memory_step_gb = float(be_memory_step_gb)
+        if be_initial_cores < 1:
+            raise ConfigurationError(
+                f"be_initial_cores must be >= 1, got {be_initial_cores}"
+            )
+        if not (math.isfinite(be_initial_memory_gb) and be_initial_memory_gb >= 0.0):
+            raise ConfigurationError(
+                "be_initial_memory_gb must be finite and non-negative, "
+                f"got {be_initial_memory_gb}"
+            )
+        if not (math.isfinite(be_memory_step_gb) and be_memory_step_gb > 0.0):
+            raise ConfigurationError(
+                "be_memory_step_gb must be finite and positive, "
+                f"got {be_memory_step_gb}"
+            )
         self.spec = spec or MachineSpec()
         self.cpuset = CpuSet(self.spec.cores)
         self.llc = LastLevelCache(self.spec.llc_mb, self.spec.llc_ways)
         self.dvfs = DvfsGovernor(self.spec.min_mhz, self.spec.max_mhz)
         self.power_model = PowerModel(tdp_watts=self.spec.tdp_watts)
         self.nic = Nic(self.spec.link_gbps)
-        self.be_initial_cores = int(be_initial_cores)
-        self.be_initial_memory_gb = float(be_initial_memory_gb)
-        self.be_memory_step_gb = float(be_memory_step_gb)
+        self.be_initial_cores = be_initial_cores
+        self.be_initial_memory_gb = be_initial_memory_gb
+        self.be_memory_step_gb = be_memory_step_gb
         self.counters = MachineCounters()
         self._lc_memory_gb = 0.0
         self._be: Dict[str, BeAllocation] = {}
-        # Cached left fold of per-job memory, refreshed on every mutation.
-        # ``free_memory_gb`` is read in tight grow loops, so the O(n) sum
-        # runs once per allocation change instead of once per read.
-        self._be_mem_total = 0.0
+        # Integer BE totals, kept exact on every mutation.
+        self._be_cores = 0
+        self._be_ways = 0
+        self._be_suspended = 0
+        # BE memory: the left fold over ``_be`` that ``be_total_memory_gb``
+        # reports, computed lazily (``None`` = stale), plus a running
+        # estimate of it with a bound on the estimate's error. Capacity
+        # checks decide from the estimate and only run the O(jobs) fold
+        # when the estimate is within rounding distance of the verdict's
+        # edge (see :meth:`_memory_fits`).
+        self._be_mem_fold: Optional[float] = 0.0
+        self._be_mem_est = 0.0
+        self._be_mem_err = 0.0
         #: Monotonic BE-allocation version. Bumped on every change that can
         #: affect BE progress rates (launch/kill, core/LLC grow-shrink,
         #: suspend/resume) so rate computations can cache per-job inputs
@@ -140,6 +171,10 @@ class Machine:
         #: ``can_launch_be``, so controllers that memoize whole control
         #: actions need a second counter that grow/shrink-memory bump.
         self.mem_version = 0
+        #: Job id of the last :attr:`version` bump. With ``version``
+        #: having moved by exactly one, it names the only job whose
+        #: rate-relevant allocation changed.
+        self.changed_job: Optional[str] = None
 
     # -- LC reservation -----------------------------------------------------
 
@@ -189,27 +224,70 @@ class Machine:
     @property
     def be_running_count(self) -> int:
         """Number of BE jobs currently running (not suspended)."""
-        return sum(1 for a in self._be.values() if not a.suspended)
+        return len(self._be) - self._be_suspended
+
+    @property
+    def be_suspended_count(self) -> int:
+        """Number of BE jobs currently suspended."""
+        return self._be_suspended
 
     @property
     def be_total_cores(self) -> int:
         """Cores held by all BE jobs."""
-        return sum(a.cores for a in self._be.values())
+        return self._be_cores
 
     @property
     def be_total_llc_ways(self) -> int:
         """LLC ways held by all BE jobs."""
-        return sum(a.llc_ways for a in self._be.values())
+        return self._be_ways
 
     @property
     def be_total_memory_gb(self) -> float:
-        """Memory held by all BE jobs (cached fold, O(1) per read)."""
-        return self._be_mem_total
+        """Memory held by all BE jobs: the left fold over jobs in
+        placement order, recomputed only on the first read after a change."""
+        fold = self._be_mem_fold
+        if fold is None:
+            fold = sum(a.memory_gb for a in self._be.values())
+            self._be_mem_fold = fold
+            # Re-anchor the estimate on the fold: a naive n-term sum of
+            # non-negative terms is within (n-1) roundoffs of the exact sum.
+            self._be_mem_est = fold
+            self._be_mem_err = len(self._be) * _ROUNDING * fold
+        return fold
 
-    def _refresh_be_mem_total(self) -> None:
-        # Exactly the fold the property used to run on every read, so the
-        # cached value is bit-identical to the on-demand sum.
-        self._be_mem_total = sum(a.memory_gb for a in self._be.values())
+    def _memory_moved(self, old_gb: float, new_gb: float) -> None:
+        """Account one job's memory going from ``old_gb`` to ``new_gb``
+        (both non-negative: the sizing checks keep every job's memory
+        at or above ``be_initial_memory_gb >= 0``)."""
+        est = self._be_mem_est + (new_gb - old_gb)
+        self._be_mem_est = est
+        # The subtraction and the addition each round by at most one
+        # roundoff of their result.
+        self._be_mem_err += _ROUNDING * (old_gb + new_gb + abs(est))
+        self._be_mem_fold = None
+
+    def _memory_fits(self, need_gb: float) -> Optional[bool]:
+        """``free_memory_gb >= need_gb``, decided without the fold.
+
+        ``None`` when the running estimate is within rounding distance
+        of the edge: the caller then evaluates its exact comparison.
+        Outside that band the estimate's verdict provably equals the
+        fold's — the slack bounds the estimate's drift plus the rounding
+        of both the fold and the ``free_memory_gb`` subtraction.
+        """
+        cap = self.spec.memory_gb
+        lc = self._lc_memory_gb
+        est = self._be_mem_est
+        err = self._be_mem_err
+        margin = cap - lc - est - need_gb
+        slack = err + (len(self._be) + 6) * _ROUNDING * (
+            abs(cap) + abs(lc) + abs(est) + err + need_gb
+        )
+        if margin > slack:
+            return True
+        if margin < -slack:
+            return False
+        return None
 
     def can_launch_be(self) -> bool:
         """True if a fresh BE job (1 core, 2 GB; LLC is best-effort) fits.
@@ -220,10 +298,12 @@ class Machine:
         how the paper's machines host 15+ BE instances (Figure 17)
         against a 20-way cache.
         """
-        return (
-            self.cpuset.free_cores >= self.be_initial_cores
-            and self.free_memory_gb >= self.be_initial_memory_gb
-        )
+        if self.cpuset.free_cores < self.be_initial_cores:
+            return False
+        fits = self._memory_fits(self.be_initial_memory_gb)
+        if fits is None:
+            fits = self.free_memory_gb >= self.be_initial_memory_gb
+        return fits
 
     def launch_be(self, job_id: str) -> BeAllocation:
         """Place a new BE job with its initial allocation."""
@@ -242,9 +322,12 @@ class Machine:
             memory_gb=self.be_initial_memory_gb,
         )
         self._be[job_id] = alloc
-        self._refresh_be_mem_total()
+        self._be_cores += alloc.cores
+        self._be_ways += step
+        self._memory_moved(0.0, alloc.memory_gb)
         self.counters.be_launches += 1
         self.version += 1
+        self.changed_job = job_id
         return alloc
 
     def grow_be(self, job_id: str) -> bool:
@@ -258,7 +341,10 @@ class Machine:
             self.llc.allocate(job_id, step)
         alloc.cores += 1
         alloc.llc_ways += step
+        self._be_cores += 1
+        self._be_ways += step
         self.version += 1
+        self.changed_job = job_id
         return True
 
     def shrink_be(self, job_id: str) -> bool:
@@ -275,26 +361,35 @@ class Machine:
             self.llc.release(job_id, step)
         alloc.cores -= 1
         alloc.llc_ways -= step
+        self._be_cores -= 1
+        self._be_ways -= step
         self.version += 1
+        self.changed_job = job_id
         return True
 
     def grow_be_memory(self, job_id: str) -> bool:
         """Grant one 100 MB memory step if capacity allows."""
         alloc = self._require(job_id)
-        if self.free_memory_gb < self.be_memory_step_gb:
+        step = self.be_memory_step_gb
+        fits = self._memory_fits(step)
+        if fits is None:
+            fits = not self.free_memory_gb < step
+        if not fits:
             return False
-        alloc.memory_gb += self.be_memory_step_gb
-        self._refresh_be_mem_total()
+        old = alloc.memory_gb
+        alloc.memory_gb = old + step
+        self._memory_moved(old, alloc.memory_gb)
         self.mem_version += 1
         return True
 
     def shrink_be_memory(self, job_id: str) -> bool:
         """Take one 100 MB memory step back (not below the initial 2 GB)."""
         alloc = self._require(job_id)
-        if alloc.memory_gb - self.be_memory_step_gb < self.be_initial_memory_gb:
+        old = alloc.memory_gb
+        if old - self.be_memory_step_gb < self.be_initial_memory_gb:
             return False
-        alloc.memory_gb -= self.be_memory_step_gb
-        self._refresh_be_mem_total()
+        alloc.memory_gb = old - self.be_memory_step_gb
+        self._memory_moved(old, alloc.memory_gb)
         self.mem_version += 1
         return True
 
@@ -303,13 +398,19 @@ class Machine:
         alloc = self._require(job_id)
         if not alloc.suspended:
             alloc.suspended = True
+            self._be_suspended += 1
             self.counters.be_suspensions += 1
             self.version += 1
+            self.changed_job = job_id
 
     def resume_be(self, job_id: str) -> None:
         """Resume a suspended BE job."""
-        self._require(job_id).suspended = False
+        alloc = self._require(job_id)
+        if alloc.suspended:
+            alloc.suspended = False
+            self._be_suspended -= 1
         self.version += 1
+        self.changed_job = job_id
 
     def kill_be(self, job_id: str) -> None:
         """Kill ``job_id`` and release every resource it held."""
@@ -317,9 +418,13 @@ class Machine:
         self.cpuset.release_all(job_id)
         self.llc.release_all(job_id)
         del self._be[alloc.job_id]
-        self._refresh_be_mem_total()
+        self._be_cores -= alloc.cores
+        self._be_ways -= alloc.llc_ways
+        self._be_suspended -= alloc.suspended
+        self._memory_moved(alloc.memory_gb, 0.0)
         self.counters.be_kills += 1
         self.version += 1
+        self.changed_job = job_id
 
     def kill_all_be(self) -> int:
         """Kill every BE job on the machine; returns how many were killed."""

@@ -46,7 +46,11 @@ class BeJobPool:
         self.max_instances = int(max_instances)
         self._spec_cycle = itertools.cycle(self.specs)
         self._counter = 0
+        #: Every job ever created, killed ones included, in creation order.
         self._jobs: Dict[str, BeJob] = {}
+        #: The jobs not yet killed, in creation order. Jobs die only
+        #: through :meth:`kill_all`, which prunes them here.
+        self._live: Dict[str, BeJob] = {}
         self.total_killed = 0
 
     def new_job(self) -> BeJob:
@@ -55,15 +59,17 @@ class BeJobPool:
         spec = next(self._spec_cycle)
         job = BeJob(job_id=f"{self.machine_name}/be-{self._counter}", spec=spec)
         self._jobs[job.job_id] = job
+        self._live[job.job_id] = job
         return job
 
     def jobs(self) -> List[BeJob]:
         """Every job ever placed that has not been killed."""
-        return [j for j in self._jobs.values() if j.state != BeJobState.KILLED]
+        return list(self._live.values())
 
     def running(self) -> List[BeJob]:
         """Jobs currently in RUNNING state."""
-        return [j for j in self._jobs.values() if j.state == BeJobState.RUNNING]
+        running = BeJobState.RUNNING
+        return [j for j in self._live.values() if j.state is running]
 
     def job(self, job_id: str) -> BeJob:
         """Look up a job by id."""
@@ -75,7 +81,7 @@ class BeJobPool:
     @property
     def active_count(self) -> int:
         """Jobs placed on the machine (running or suspended)."""
-        return len(self.jobs())
+        return len(self._live)
 
     @property
     def total_normalized_work(self) -> float:
@@ -85,10 +91,11 @@ class BeJobPool:
     def kill_all(self) -> int:
         """Kill every live job; returns how many died."""
         n = 0
-        for job in self.jobs():
+        for job in self._live.values():
             job.kill()
             self.total_killed += 1
             n += 1
+        self._live.clear()
         return n
 
 
@@ -138,27 +145,22 @@ class CpuLlcSubcontroller:
         periods shed interference all the way to zero without killing
         instances (Figure 17 shows the instance count surviving cuts).
         """
-        for job in pool.running():
+        running = pool.running()
+        for job in running:
             machine.shrink_be(job.job_id)
-        if not escalate:
+        if not escalate or not running:
             return
-        running = sorted(
-            pool.running(),
-            key=lambda j: machine.be_allocation(j.job_id).cores,
-            reverse=True,
-        )
-        if not running:
-            return
+        widths = [machine.be_allocation(j.job_id).cores for j in running]
+        order = sorted(range(len(running)), key=widths.__getitem__, reverse=True)
         # Shrinking alone cannot shed cache/bandwidth pressure from jobs
         # whose demand saturates at low core counts (stream-llc needs a
         # single core to thrash the LLC), so every CutBE period also
         # pauses jobs: one while there is still core width to trim, the
         # wider half once everything is at minimum footprint.
-        if any(machine.be_allocation(j.job_id).cores > machine.be_initial_cores
-               for j in running):
-            victims = running[:1]
+        if widths[order[0]] > machine.be_initial_cores:
+            victims = [running[order[0]]]
         else:
-            victims = running[: (len(running) + 1) // 2]
+            victims = [running[k] for k in order[: (len(running) + 1) // 2]]
         for job in victims:
             machine.suspend_be(job.job_id)
             job.suspend()
@@ -172,6 +174,8 @@ class CpuLlcSubcontroller:
         ends — the pressure step would otherwise outrun the feedback
         loop and spike the tail straight past the SLA.
         """
+        if not machine.be_suspended_count:
+            return
         resumed = 0
         for job in pool.jobs():
             if resumed >= count:
@@ -190,11 +194,12 @@ class CpuLlcSubcontroller:
             machine.launch_be(job.job_id)
             job.start(machine.spec.name)
             return
+        if machine.cpuset.free_cores < 1:
+            return  # grow_be would refuse whichever job the scan picked
         live = pool.running()
         if live:
-            thinnest = min(
-                live, key=lambda j: machine.be_allocation(j.job_id).cores
-            )
+            widths = [machine.be_allocation(j.job_id).cores for j in live]
+            thinnest = live[widths.index(min(widths))]
             machine.grow_be(thinnest.job_id)
 
 

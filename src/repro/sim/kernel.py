@@ -119,41 +119,43 @@ class BeRateKernel:
     """Row store and Leontief fold of a small fleet's running BE jobs.
 
     :meth:`FleetColocationKernel._rebuild_row` loads one row set per
-    machine whenever ``Machine.version`` moves (launch/kill/grow/shrink/
-    suspend/resume) or a fault transition lands; between loads every
-    cached value is exactly what the scalar
-    :func:`~repro.bejobs.job.compute_be_rates` would recompute from the
-    same allocations. Rows are python lists, not arrays: a machine holds
-    at most a handful of BE jobs, so one fused scalar loop beats
+    machine and :meth:`FleetColocationKernel._patch_row` rewrites or
+    appends one slot of it, so every cached value is exactly what the
+    scalar :func:`~repro.bejobs.job.compute_be_rates` would recompute
+    from the current allocations. Rows are python lists, not arrays: a
+    machine holds at most a handful of BE jobs, so one fused scalar loop beats
     whole-array numpy on dispatch cost alone — and elementwise float64
     equals python-float arithmetic bit for bit, so the identity pin
     holds. Large fleets keep the same rows as padded SoA arrays instead.
     """
 
     def __init__(self, n_machines: int) -> None:
-        #: Per machine: the running ``BeJob`` objects, in pool order.
+        #: Per machine: the running ``BeJob`` objects, in pool order
+        #: (the kernel's own row-job list, shared, not copied).
         self.jobs: List[List] = [[] for _ in range(n_machines)]
-        #: Per machine: ``(cpu_base, req_cpu, llc_ratio, membw,
-        #: membw_mask, membw_div, net, net_mask, net_div)`` job columns.
-        self.rows: List[Tuple] = [((),) * 9 for _ in range(n_machines)]
+        #: Per machine: ``[cpu_base, req_cpu, llc_ratio, membw,
+        #: membw_mask, membw_div, net, net_mask, net_div]`` job columns.
+        self.rows: List[List[List]] = [
+            [[] for _ in range(9)] for _ in range(n_machines)
+        ]
+        #: Per machine: the row sums the kernel folds over its row tuples.
         self.membw_demand: List[float] = [0.0] * n_machines
         self.net_demand: List[float] = [0.0] * n_machines
         #: Per machine: the rates of the last :meth:`be_rates` call.
         self.rates: List[List[float]] = [[] for _ in range(n_machines)]
 
-    def load(
-        self,
-        m: int,
-        jobs: List,
-        rows: Tuple,
-        membw_demand: float,
-        net_demand: float,
-    ) -> None:
-        """Install machine ``m``'s freshly rebuilt job rows."""
+    def load(self, m: int, jobs: List, columns: List[List]) -> None:
+        """Install machine ``m``'s freshly rebuilt job columns."""
         self.jobs[m] = jobs
-        self.rows[m] = rows
-        self.membw_demand[m] = membw_demand
-        self.net_demand[m] = net_demand
+        self.rows[m] = columns
+
+    def set_slot(self, m: int, s: int, row: Tuple) -> None:
+        """Write one job's row tuple into slot ``s`` (``s == len`` appends)."""
+        for col, value in zip(self.rows[m], row[:9]):
+            if s == len(col):
+                col.append(value)
+            else:
+                col[s] = value
 
     def be_rates(
         self, m: int, freq_ratio: float, membw_headroom: float, be_cap_fraction: float
@@ -217,7 +219,7 @@ class BeRateKernel:
         machine's pod: the same two ``+=`` folds per running job, in the
         same job order, at the rates of the last :meth:`be_rates` call
         (row membership == ``pool.running()`` with a live allocation;
-        any suspend/resume/kill bumps ``Machine.version``, which reloads
+        every apply that moves ``Machine.version`` patches or rebuilds
         the rows before the next call).
         """
         for job, rate in zip(self.jobs[m], self.rates[m]):
@@ -541,7 +543,13 @@ class FleetColocationKernel:
 
     - world mutation (launch/kill/grow/shrink/suspend/resume) goes
       through the *same* subcontroller code on the shared machines and
-      pools; job rows are reloaded when ``Machine.version`` moves;
+      pools. An apply that moved ``Machine.version`` by one and only
+      launched or resized one job patches that machine's row in place
+      (:meth:`_patch_row`: one slot swapped or appended, the row sums
+      re-folded over the cached row tuples in row order, pressure caches
+      and counters refreshed); any other version move — kill, suspend,
+      resume, several changes at once, a fault transition — marks the
+      row for a full :meth:`_rebuild_row` at the next tick's start;
     - subcontroller applies are memoized per machine on no-op keys: a
       key can only enter the memo set after an execution that provably
       changed nothing, so skipping a repeat cannot change state (STOP is
@@ -553,8 +561,10 @@ class FleetColocationKernel:
     - small fleets write BE progress straight into the ``BeJob`` objects
       (:meth:`BeRateKernel.advance_be`); large fleets integrate it
       in-place in SoA (elementwise float64 == python-float arithmetic)
-      and flush it back to the objects before any apply that might read
-      or rearrange them;
+      and flush it back to the objects only where it is read: before a
+      STOP (its kills claw back in-flight work), after any other apply
+      that leads to a full rebuild, before a fault transition and in
+      :meth:`sync_world`. A patched row keeps its progress in SoA;
     - reductions over a machine's jobs run as padded column sweeps
       (``acc = acc + col``), exact because pads contribute ``+0.0`` to
       non-negative accumulators; the interference impact sum and the
@@ -801,6 +811,8 @@ class FleetColocationKernel:
         self._busy_be = np.zeros(M)
         self._row_jobs: List[List] = [[] for _ in range(M)]
         self._row_ids: List[List[str]] = [[] for _ in range(M)]
+        #: Per machine: the ``_row_entry`` tuple of every row slot.
+        self._row_rows: List[List[Tuple]] = [[] for _ in range(M)]
         self._row_cache: Dict[Tuple, Tuple] = {}
         self._busy_be_l: List[float] = [0.0] * M
         self._p_cpu_l: List[float] = [0.0] * M
@@ -872,106 +884,75 @@ class FleetColocationKernel:
             self._rebuild_row(m)
         self._dirty.clear()
 
+    def _row_entry(self, m: int, spec, cores: int, ways: int) -> Tuple:
+        """The row tuple of one ``spec`` job holding ``cores``/``ways`` on
+        machine ``m``: the job-row math, in the scalar
+        ``compute_be_rates`` fold order.
+
+        Row values depend only on (spec, cores, llc ways, machine
+        geometry) — all in the key — so one computation serves every job
+        of the same shape fleet-wide. The spec object rides along in the
+        entry to pin its id() for the cache's lifetime.
+        """
+        total_cores = self._cores_i[m]
+        n_ways = self._m_mach[m].llc.n_ways
+        key = (id(spec), cores, ways, total_cores, n_ways)
+        row = self._row_cache.get(key)
+        if row is None:
+            llc_granted = ways / n_ways
+            llc_demand = spec.demand_fraction("llc", cores, total_cores)
+            membw_demand = spec.demand_fraction("membw", cores, total_cores)
+            membw_demand += LLC_SPILL_TO_MEMBW * max(0.0, llc_demand - llc_granted)
+            llc_usage = spec.usage("llc")
+            membw_usage = spec.usage("membw")
+            net_usage = spec.usage("net")
+            row = (
+                cores / total_cores,
+                min(1.0, spec.saturation_cores / total_cores),
+                llc_granted / llc_usage if llc_usage > 0 else np.inf,
+                min(1.0, membw_demand),
+                membw_usage > 0,
+                membw_usage if membw_usage > 0 else 1.0,
+                spec.demand_fraction("net", cores, total_cores),
+                net_usage > 0,
+                net_usage if net_usage > 0 else 1.0,
+                llc_demand,
+                llc_granted,
+                cores,
+                spec,
+            )
+            self._row_cache[key] = row
+        return row
+
     def _rebuild_row(self, m: int) -> None:
         """Reload machine ``m``'s job rows from the world objects.
 
-        The one copy of the job-row math, in the scalar
-        ``compute_be_rates`` fold order. Small fleets install the rows
-        in their :class:`BeRateKernel`; large fleets write them into the
+        Row membership is ``pool.running()`` with a live, unsuspended
+        allocation, in pool order. Small fleets install the rows in
+        their :class:`BeRateKernel`; large fleets write them into the
         padded SoA arrays, whose pads carry the identity elements of
         every downstream op (0 for sums and rates, 1 for divisors,
-        ``inf`` for min-reductions).
+        ``inf`` for min-reductions) — and load SoA progress from the
+        objects.
         """
         machine = self._m_mach[m]
-        run = self._m_run[m]
-        total_cores = self._cores_i[m]
-        running = [
-            job
-            for job in run.pool.jobs()
-            if job.state == BeJobState.RUNNING
-            and machine.be_allocation(job.job_id) is not None
-            and not machine.be_allocation(job.job_id).suspended
-        ]
-        if len(running) > self._jmax:  # pragma: no cover - pool caps instances
+        running: List = []
+        rows: List[Tuple] = []
+        for job in self._m_run[m].pool.running():
+            alloc = machine.be_allocation(job.job_id)
+            if alloc is not None and not alloc.suspended:
+                running.append(job)
+                rows.append(
+                    self._row_entry(m, job.spec, alloc.cores, alloc.llc_ways)
+                )
+        k = len(running)
+        if k > self._jmax:  # pragma: no cover - pool caps instances
             raise ConfigurationError(
-                f"machine {machine.spec.name!r} has {len(running)} running BE "
+                f"machine {machine.spec.name!r} has {k} running BE "
                 f"jobs, fleet rows hold {self._jmax}"
             )
-        total_membw_demand = 0.0
-        total_net_demand = 0.0
-        busy_cores = 0.0
-        llc_demand_total = 0.0
-        llc_occupied_total = 0.0
-        n_ways = machine.llc.n_ways
-        cache = self._row_cache
-        cpu_b: List[float] = []
-        req_c: List[float] = []
-        llc_r: List[float] = []
-        mbw: List[float] = []
-        mbw_m: List[bool] = []
-        mbw_d: List[float] = []
-        net_l: List[float] = []
-        net_m: List[bool] = []
-        net_d: List[float] = []
-        for job in running:
-            spec = job.spec
-            alloc = machine.be_allocation(job.job_id)
-            # Row values depend only on (spec, cores, llc ways, machine
-            # geometry) — all in the key — so one computation serves every
-            # job of the same shape fleet-wide. The spec object rides along
-            # in the entry to pin its id() for the cache's lifetime.
-            key = (id(spec), alloc.cores, alloc.llc_ways, total_cores, n_ways)
-            row = cache.get(key)
-            if row is None:
-                cores = alloc.cores
-                llc_granted = alloc.llc_ways / n_ways
-                llc_demand = spec.demand_fraction("llc", cores, total_cores)
-                membw_demand = spec.demand_fraction("membw", cores, total_cores)
-                membw_demand += LLC_SPILL_TO_MEMBW * max(
-                    0.0, llc_demand - llc_granted
-                )
-                llc_usage = spec.usage("llc")
-                membw_usage = spec.usage("membw")
-                net_usage = spec.usage("net")
-                row = (
-                    cores / total_cores,
-                    min(1.0, spec.saturation_cores / total_cores),
-                    llc_granted / llc_usage if llc_usage > 0 else np.inf,
-                    min(1.0, membw_demand),
-                    membw_usage > 0,
-                    membw_usage if membw_usage > 0 else 1.0,
-                    spec.demand_fraction("net", cores, total_cores),
-                    net_usage > 0,
-                    net_usage if net_usage > 0 else 1.0,
-                    llc_demand,
-                    llc_granted,
-                    cores,
-                    spec,
-                )
-                cache[key] = row
-            cpu_b.append(row[0])
-            req_c.append(row[1])
-            llc_r.append(row[2])
-            mbw.append(row[3])
-            mbw_m.append(row[4])
-            mbw_d.append(row[5])
-            net_l.append(row[6])
-            net_m.append(row[7])
-            net_d.append(row[8])
-            total_membw_demand += row[3]
-            total_net_demand += row[6]
-            busy_cores += row[11]
-            llc_demand_total += row[9]
-            llc_occupied_total += row[10]
-        k = len(running)
         if self._small:
-            self._be.load(
-                m,
-                running,
-                (cpu_b, req_c, llc_r, mbw, mbw_m, mbw_d, net_l, net_m, net_d),
-                total_membw_demand,
-                total_net_demand,
-            )
+            self._be.load(m, running, [[row[c] for row in rows] for c in range(9)])
         else:
             self._cpu_base[m, :] = 0.0
             self._req_cpu[m, :] = 1.0
@@ -986,32 +967,118 @@ class FleetColocationKernel:
             self._nw[m, :] = 0.0
             self._rs[m, :] = 0.0
             if k:
-                self._cpu_base[m, :k] = cpu_b
-                self._req_cpu[m, :k] = req_c
-                self._llc_ratio[m, :k] = llc_r
-                self._membw[m, :k] = mbw
-                self._membw_mask[m, :k] = mbw_m
-                self._membw_div[m, :k] = mbw_d
-                self._net[m, :k] = net_l
-                self._net_mask[m, :k] = net_m
-                self._net_div[m, :k] = net_d
+                cols = list(zip(*rows))
+                self._cpu_base[m, :k] = cols[0]
+                self._req_cpu[m, :k] = cols[1]
+                self._llc_ratio[m, :k] = cols[2]
+                self._membw[m, :k] = cols[3]
+                self._membw_mask[m, :k] = cols[4]
+                self._membw_div[m, :k] = cols[5]
+                self._net[m, :k] = cols[6]
+                self._net_mask[m, :k] = cols[7]
+                self._net_div[m, :k] = cols[8]
                 self._valid[m, :k] = 1.0
                 self._nw[m, :k] = [job.normalized_work for job in running]
                 self._rs[m, :k] = [job.running_seconds for job in running]
+        self._row_jobs[m] = running
+        self._row_ids[m] = [job.job_id for job in running]
+        self._row_rows[m] = rows
+        self._fold_row(m)
+
+    def _patch_row(self, m: int, n0: int) -> bool:
+        """Patch machine ``m``'s rows after an apply that bumped
+        ``Machine.version`` exactly once; ``False`` if it needs a rebuild.
+
+        One bump means one job changed. A job already in the rows whose
+        allocation is still live and unsuspended was resized
+        (grow/shrink): its slot takes the new row tuple. A job the pool
+        created last that is now running, with the machine hosting one
+        more job than before the apply (``n0``), was launched: it takes
+        a new slot at the end, which is where pool order puts it.
+        Anything else — kill, suspend, resume — changes membership
+        mid-row and is left to :meth:`_rebuild_row`. The job's SoA
+        progress never leaves its slot, so no flush is needed.
+        """
+        machine = self._m_mach[m]
+        job_id = machine.changed_job
+        alloc = machine.be_allocation(job_id)
+        if alloc is None or alloc.suspended:
+            return False
+        ids = self._row_ids[m]
+        jobs = self._row_jobs[m]
+        if machine.be_instance_count == n0:
+            if job_id not in ids:
+                return False
+            s = ids.index(job_id)
+            job = jobs[s]
+            row = self._row_entry(m, job.spec, alloc.cores, alloc.llc_ways)
+            self._row_rows[m][s] = row
+        elif machine.be_instance_count == n0 + 1:
+            job = self._m_run[m].pool.jobs()[-1]
+            if job.job_id != job_id or job.state is not BeJobState.RUNNING:
+                return False
+            s = len(jobs)
+            row = self._row_entry(m, job.spec, alloc.cores, alloc.llc_ways)
+            jobs.append(job)
+            ids.append(job_id)
+            self._row_rows[m].append(row)
+            if not self._small:
+                self._valid[m, s] = 1.0
+                self._nw[m, s] = job.normalized_work
+                self._rs[m, s] = job.running_seconds
+        else:
+            return False
+        if self._small:
+            self._be.set_slot(m, s, row)
+        else:
+            self._cpu_base[m, s] = row[0]
+            self._req_cpu[m, s] = row[1]
+            self._llc_ratio[m, s] = row[2]
+            self._membw[m, s] = row[3]
+            self._membw_mask[m, s] = row[4]
+            self._membw_div[m, s] = row[5]
+            self._net[m, s] = row[6]
+            self._net_mask[m, s] = row[7]
+            self._net_div[m, s] = row[8]
+        self._fold_row(m)
+        return True
+
+    def _fold_row(self, m: int) -> None:
+        """Machine ``m``'s per-row sums, gauges and pressure caches.
+
+        The five left folds over the row tuples in row order — the same
+        ``+=`` sequence ``compute_be_rates`` runs, so a patched row lands
+        on the same bits as a rebuilt one.
+        """
+        total_membw_demand = 0.0
+        total_net_demand = 0.0
+        busy_cores = 0.0
+        llc_demand_total = 0.0
+        llc_occupied_total = 0.0
+        for row in self._row_rows[m]:
+            total_membw_demand += row[3]
+            total_net_demand += row[6]
+            busy_cores += row[11]
+            llc_demand_total += row[9]
+            llc_occupied_total += row[10]
+        if self._small:
+            self._be.membw_demand[m] = total_membw_demand
+            self._be.net_demand[m] = total_net_demand
+        else:
             self._busy_be[m] = busy_cores
             self._md_total[m] = total_membw_demand
             self._nd_total[m] = total_net_demand
         self._count(m)
-        self._njobs[m] = k
-        self._row_jobs[m] = running
-        self._row_ids[m] = [job.job_id for job in running]
+        self._njobs[m] = len(self._row_rows[m])
         self._busy_be_l[m] = busy_cores
         self._llc_dem_l[m] = min(1.0, llc_demand_total)
         self._llc_occ_l[m] = min(1.0, llc_occupied_total)
         # CPU and LLC pressure are pure functions of row state, so they
         # only move when the row does; the tick loop reads the cache.
         iso = self._iso[m]
-        self._p_cpu_l[m] = iso.cpu_pressure(min(1.0, busy_cores / total_cores))
+        self._p_cpu_l[m] = iso.cpu_pressure(
+            min(1.0, busy_cores / self._cores_i[m])
+        )
         self._p_llc_l[m] = iso.llc_pressure(
             self._llc_occ_l[m], self._llc_dem_l[m]
         )
@@ -1028,10 +1095,11 @@ class FleetColocationKernel:
 
         Only large fleets accrue progress in SoA; a small fleet's objects
         are always authoritative. A dirty row is skipped: its objects
-        are already authoritative (flushed right before the apply that
-        dirtied it, which may have killed jobs and clawed their
-        in-flight work back), and no progress accrues until the row is
-        rebuilt.
+        are already authoritative (flushed by the apply that dirtied it
+        — before a STOP, whose kills claw in-flight work back, and after
+        any other apply), and no progress accrues until the row is
+        rebuilt. A patched row is never flushed by :meth:`act`: its
+        progress stays in SoA, slot for slot.
         """
         jobs = self._row_jobs[m]
         if self._small or not jobs or m in self._dirty:
@@ -1582,12 +1650,15 @@ class FleetColocationKernel:
             memo = self._memo[m]
             if key in memo:
                 continue
-            self._flush_row(m)
             machine = self._m_mach[m]
             run = self._m_run[m]
             exp = self._exps[self._m_i[m]]
+            if action is stop:
+                # The kills claw in-flight work back from current progress.
+                self._flush_row(m)
             v0 = machine.version
             mv0 = machine.mem_version
+            n0 = machine.be_instance_count
             exp._cpu_llc.apply(action, machine, run.pool)
             exp._memory.apply(action, machine, run.pool)
             if action is stop:
@@ -1595,8 +1666,13 @@ class FleetColocationKernel:
                 # memoize (the key cannot witness this side effect).
                 self._freq[m] = self._f_max_l[m]
             if machine.version != v0:
-                self._dirty.add(m)
-                self._count(m)
+                if machine.version != v0 + 1 or not self._patch_row(m, n0):
+                    # The rebuild reloads progress from the objects: hand
+                    # it over first (a STOP already did, before its kills).
+                    if action is not stop:
+                        self._flush_row(m)
+                    self._dirty.add(m)
+                    self._count(m)
             elif machine.mem_version == mv0 and action is not stop:
                 memo.add(key)
 

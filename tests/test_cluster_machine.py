@@ -32,6 +32,34 @@ class TestLcReservation:
             m.reserve_lc(cores=1, llc_ways=1, memory_gb=10_000.0)
 
 
+class TestBeSizingValidation:
+    """Bad BE sizing fails at construction, not deep inside a run."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"be_memory_step_gb": 0.0},
+            {"be_memory_step_gb": -0.1},
+            {"be_memory_step_gb": float("nan")},
+            {"be_memory_step_gb": float("inf")},
+            {"be_initial_cores": 0},
+            {"be_initial_cores": -1},
+            {"be_initial_memory_gb": -2.0},
+            {"be_initial_memory_gb": float("nan")},
+            {"be_initial_memory_gb": float("inf")},
+        ],
+        ids=repr,
+    )
+    def test_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            Machine(MachineSpec(name="m0"), **kwargs)
+
+    def test_zero_initial_memory_accepted(self):
+        machine = Machine(MachineSpec(name="m0"), be_initial_memory_gb=0.0)
+        machine.launch_be("j1")
+        assert machine.be_total_memory_gb == 0.0
+
+
 class TestBeLifecycle:
     def test_launch_gets_paper_initial_allocation(self, machine):
         alloc = machine.launch_be("j1")

@@ -30,11 +30,12 @@ from repro.experiments.fleet import (
     instance_digest,
     make_growth_clamp,
     policies_from_controllers,
+    rhythm_fleet_policies,
 )
 from repro.experiments.colocation import ColocationExperiment
 from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
-from repro.loadgen.patterns import ConstantLoad
-from repro.sim.kernel import FleetColocationKernel
+from repro.loadgen.patterns import ConstantLoad, StepLoad
+from repro.sim.kernel import _SMALL_FLEET_MACHINES, FleetColocationKernel
 from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import lc_service_spec
 
@@ -521,3 +522,96 @@ class TestFaultedFleetTick:
         ]
         assert BeAction.STOP_BE.value in last
         assert fleet.run().digest == fleet.run_reference().digest
+
+
+def _churn_fleet(faults=None) -> FleetExperiment:
+    """12 machines (the whole-array path) under Rhythm's profiled Redis
+    policies, on a load script that drives every kind of apply.
+
+    Low load lets ALLOW launch up to the 16-instance cap and then widen
+    jobs one core at a time until the cpuset is full; the step to 0.7
+    makes the ``stream-llc`` instances CUT (shrink, then suspend) and
+    resume; 0.9 SUSPENDs the ``CPU-stress`` masters, 0.3 resumes them,
+    and the final tick's 1.0 STOPs every machine. ``faults`` goes to
+    every third instance.
+    """
+    policies = tuple(sorted(rhythm_fleet_policies("Redis").items()))
+    steps = [(0.0, 0.2), (70.0, 0.7), (100.0, 0.9), (110.0, 0.3), (118.0, 1.0)]
+    specs = [
+        FleetInstanceSpec(
+            service="Redis",
+            policies=policies,
+            be_jobs=("CPU-stress",) if k % 2 == 0 else ("stream-llc",),
+            pattern=StepLoad(steps),
+            seed=70 + k,
+            faults=faults if k % 3 == 0 else None,
+        )
+        for k in range(6)
+    ]
+    return FleetExperiment(
+        specs, FleetConfig(duration_s=120.0, workers=1, zone_size=2)
+    )
+
+
+class TestPatchedRows:
+    """Applies that launch or resize one job patch that machine's row in
+    place; the rows must stay bit-identical to a full rebuild's."""
+
+    def _samples(self, fleet: FleetExperiment):
+        experiments = [
+            _build_experiment(spec, fleet.config) for spec in fleet.instances
+        ]
+        FleetColocationKernel(experiments).run()
+        out = []
+        for exp in experiments:
+            for pod, run in exp._runs.items():
+                machine = exp.deployment.servpod(pod).machine
+                out.append((machine, run.metrics.samples))
+        return out
+
+    def test_churned_vector_fleet_matches_scalar_reference(self):
+        fleet = _churn_fleet()
+        assert 2 * len(fleet.instances) > _SMALL_FLEET_MACHINES
+        assert fleet.run().digest == fleet.run_reference().digest
+        samples = self._samples(fleet)
+        actions = {s.action for _m, ss in samples for s in ss}
+        assert {
+            BeAction.CUT_BE.value,
+            BeAction.SUSPEND_BE.value,
+            BeAction.DISALLOW_BE_GROWTH.value,
+        } <= actions
+        assert max(s.be_instances for _m, ss in samples for s in ss) == 16
+        # Some machine widened its jobs until the cpuset was full.
+        assert any(
+            s.be_cores == m.spec.cores - m.lc_cores for m, ss in samples for s in ss
+        )
+        # CUT and SUSPEND periods are followed by an ALLOW that resumes
+        # jobs still on the machine.
+        allow = BeAction.ALLOW_BE_GROWTH.value
+        for paused in (BeAction.CUT_BE.value, BeAction.SUSPEND_BE.value):
+            assert any(
+                p.action == paused and a.action == allow and a.be_instances > 0
+                for _m, ss in samples
+                for p, a in zip(ss, ss[1:])
+            )
+        assert all(ss[-1].action == BeAction.STOP_BE.value for _m, ss in samples)
+
+    def test_core_offline_between_applies(self):
+        """A CORE_OFFLINE window shrinks jobs between applies (a full
+        rebuild); the patches before and after it must agree with scalar."""
+        hold = FaultSchedule(
+            faults=(
+                FaultSpec(
+                    FaultKind.CORE_OFFLINE, at_s=50.0, duration_s=14.0,
+                    magnitude=0.2,
+                ),
+            )
+        )
+        fleet = _churn_fleet(faults=hold)
+        assert fleet.run().digest == fleet.run_reference().digest
+        samples = self._samples(fleet)
+        assert any(
+            b.be_cores < a.be_cores and a.action == BeAction.ALLOW_BE_GROWTH.value
+            for _m, ss in samples
+            for a, b in zip(ss, ss[1:])
+        )

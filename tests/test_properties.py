@@ -9,6 +9,7 @@ with no example database or shrinking in the way of a bisect.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.machine import Machine, MachineSpec
 from repro.core.contribution import ContributionAnalyzer, pearson
 from repro.core.loadlimit import derive_loadlimit
 from repro.core.slacklimit import (
@@ -493,3 +495,119 @@ class TestStormExpansionPurity:
             seed, n_instances=n_instances, zone_size=zone_size
         )
         assert first == again
+
+
+# --- machine BE accounting -----------------------------------------------------
+
+#: (DRAM GB, LC GB, initial BE GB, step GB): the paper's sizing on a full
+#: node, and small nodes whose BE memory fills to within a step of
+#: capacity, where rounding of the fold decides the grow verdict.
+_MACHINE_SIZINGS = [
+    (256.0, 64.0, 2.0, 0.1),
+    (12.3, 4.0, 2.0, 0.1),
+    (7.0, 0.0, 1.7, 0.3),
+    (2.6, 0.3, 0.0, 0.1),
+]
+
+
+def _check_machine_totals(machine: Machine) -> None:
+    """Every incremental BE total equals a fresh fold over the jobs.
+
+    Reads a shallow copy: reading the memory total re-anchors the machine's
+    running estimate, and the verdicts must hold on a drifted one too.
+    """
+    machine = copy.copy(machine)
+    allocs = list(machine.be_jobs().values())
+    assert machine.be_instance_count == len(allocs)
+    assert machine.be_total_cores == sum(a.cores for a in allocs)
+    assert machine.be_total_llc_ways == sum(a.llc_ways for a in allocs)
+    assert machine.be_running_count == sum(1 for a in allocs if not a.suspended)
+    assert machine.be_suspended_count == sum(1 for a in allocs if a.suspended)
+    fold = sum(a.memory_gb for a in allocs)
+    free = machine.spec.memory_gb - machine.lc_memory_gb - fold
+    assert repr(machine.be_total_memory_gb) == repr(fold)
+    assert repr(machine.free_memory_gb) == repr(free)
+
+
+class TestMachineAccounting:
+    """Seeded random BE op sequences against fresh folds, after every op."""
+
+    @staticmethod
+    def _free_by_fold(machine: Machine) -> float:
+        fold = sum(a.memory_gb for a in machine.be_jobs().values())
+        return machine.spec.memory_gb - machine.lc_memory_gb - fold
+
+    def _launch(self, machine: Machine, job_id: str) -> bool:
+        naive = (
+            machine.cpuset.free_cores >= machine.be_initial_cores
+            and self._free_by_fold(machine) >= machine.be_initial_memory_gb
+        )
+        assert machine.can_launch_be() == naive
+        if naive:
+            machine.launch_be(job_id)
+        _check_machine_totals(machine)
+        return naive
+
+    def _grow_memory(self, machine: Machine, job_id: str) -> bool:
+        naive = not self._free_by_fold(machine) < machine.be_memory_step_gb
+        assert machine.grow_be_memory(job_id) == naive
+        _check_machine_totals(machine)
+        return naive
+
+    @pytest.mark.parametrize("sizing", _MACHINE_SIZINGS, ids=str)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_totals_and_verdicts_match_fresh_folds(self, seed, sizing):
+        import random
+
+        memory_gb, lc_gb, initial_gb, step_gb = sizing
+        rng = random.Random(seed)
+        machine = Machine(
+            MachineSpec(cores=24, memory_gb=memory_gb),
+            be_initial_memory_gb=initial_gb,
+            be_memory_step_gb=step_gb,
+        )
+        machine.reserve_lc(cores=4, llc_ways=4, memory_gb=lc_gb)
+        # Fill BE memory to within one step of capacity: launch while
+        # anything fits, then grow random jobs until every grow is refused.
+        next_id = 0
+        while self._launch(machine, f"j{next_id}"):
+            next_id += 1
+        live = sorted(machine.be_jobs())
+        while any(
+            self._grow_memory(machine, job) for job in rng.sample(live, len(live))
+        ):
+            pass
+        assert 0.0 <= self._free_by_fold(machine) + step_gb
+        assert self._free_by_fold(machine) < step_gb
+        # Then churn every kind of op around that edge.
+        for _ in range(400):
+            live = sorted(machine.be_jobs())
+            op = rng.choice(
+                ["launch", "kill", "grow", "shrink", "mem+", "mem+", "mem-",
+                 "suspend", "resume", "offline"]
+            )
+            if op == "launch" or not live:
+                if self._launch(machine, f"j{next_id}"):
+                    next_id += 1
+                continue
+            job = rng.choice(live)
+            if op == "mem+":
+                self._grow_memory(machine, job)
+                continue
+            if op == "kill":
+                machine.kill_be(job)
+            elif op == "grow":
+                machine.grow_be(job)
+            elif op == "shrink":
+                machine.shrink_be(job)
+            elif op == "mem-":
+                machine.shrink_be_memory(job)
+            elif op == "suspend":
+                machine.suspend_be(job)
+            elif op == "resume":
+                machine.resume_be(job)
+            elif machine.offlined_cores:
+                machine.restore_offlined_cores(machine.offlined_cores)
+            else:
+                machine.offline_cores(rng.randint(1, 6))
+            _check_machine_totals(machine)
