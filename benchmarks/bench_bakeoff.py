@@ -11,6 +11,13 @@ Measures the single-pass multi-controller evaluation engine end to end:
 - ``cached``: the same roster against a private store — the cold run
   writes one ``bakeoff-cell`` entry per member, the warm re-run must
   execute ZERO shared passes and return identical digests.
+- ``divergence``: the four-member default roster (Rhythm, Heracles,
+  interference scoring, predictive) over faulted scenario grids, where
+  the rivals disagree often — the plan of perfbench's
+  ``bakeoff-faulted`` workload at seed 1. Reports the forks and merges,
+  the merge check's world digests, and the seconds spent forking and
+  merging; the first grid's cells must equal their solo runs bit for
+  bit (folded into ``identical_results``).
 
 Timing takes the best of five rounds per side with the cyclic GC
 paused inside each round (the work is deterministic; the repeats and
@@ -37,6 +44,7 @@ from repro.cache import CacheStore
 from repro.experiments.bakeoff import (
     BakeoffConfig,
     bakeoff_scenario_grid,
+    default_members,
     heracles_member,
     interference_member,
     predictive_member,
@@ -56,6 +64,15 @@ BENCH_BE_JOB = "stream-llc"
 BENCH_SEED = 11
 BENCH_ROUNDS = 5
 
+#: The divergence probe (perfbench's ``bakeoff-faulted`` plan, seed 1).
+DIVERGENCE_SERVICES = ("Redis", "Solr", "E-commerce")
+DIVERGENCE_LOADS = (0.25, 0.45, 0.65, 0.85)
+DIVERGENCE_GRIDS = 4
+DIVERGENCE_SEED = 1
+DIVERGENCE_DURATION_S = 120.0
+DIVERGENCE_FAULTS_PER_MINUTE = 2.0
+DIVERGENCE_ROUNDS = 3
+
 
 def _members(service: str):
     return [
@@ -63,6 +80,73 @@ def _members(service: str):
         interference_member(),
         predictive_member(),
     ]
+
+
+def _divergence_plan():
+    return [
+        (
+            default_members(service, seed=0),
+            [
+                scenario
+                for grid in range(DIVERGENCE_GRIDS)
+                for scenario in bakeoff_scenario_grid(
+                    service=service,
+                    loads=DIVERGENCE_LOADS,
+                    duration_s=DIVERGENCE_DURATION_S,
+                    seed=DIVERGENCE_SEED * DIVERGENCE_GRIDS + grid,
+                    faults_per_minute=DIVERGENCE_FAULTS_PER_MINUTE,
+                )
+            ],
+        )
+        for service in DIVERGENCE_SERVICES
+    ]
+
+
+def run_divergence() -> Dict[str, object]:
+    """Time the high-divergence roster; check its first grid against solo runs."""
+    plan = _divergence_plan()
+    config = BakeoffConfig(duration_s=DIVERGENCE_DURATION_S)
+    best = None
+    digests = set()
+    for _ in range(DIVERGENCE_ROUNDS):
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            results = [
+                run_bakeoff(scenarios, members, config, cache=None)
+                for members, scenarios in plan
+            ]
+            wall_s = time.perf_counter() - t0
+        finally:
+            gc.enable()
+        digests.add(tuple(r.digest for r in results))
+        if best is None or wall_s < best[0]:
+            best = (wall_s, results)
+    wall_s, results = best
+    identical = len(digests) == 1
+    for (members, scenarios), result in zip(plan, results):
+        # Cells come in (scenario, member) order.
+        for k, cell in enumerate(result.cells[: len(DIVERGENCE_LOADS) * len(members)]):
+            scenario = scenarios[k // len(members)]
+            member = members[k % len(members)]
+            solo = run_member_reference(scenario, member, config)
+            identical = identical and solo.digest == cell.digest
+    return {
+        "services": list(DIVERGENCE_SERVICES),
+        "members": [m.name for m in plan[0][0]],
+        "scenarios": sum(len(scenarios) for _, scenarios in plan),
+        "duration_s": DIVERGENCE_DURATION_S,
+        "faults_per_minute": DIVERGENCE_FAULTS_PER_MINUTE,
+        "seed": DIVERGENCE_SEED,
+        "wall_s": round(wall_s, 4),
+        "forks": sum(r.forks for r in results),
+        "merges": sum(r.merges for r in results),
+        "digests": sum(r.digests for r in results),
+        "fork_s": round(sum(r.fork_s for r in results), 4),
+        "merge_s": round(sum(r.merge_s for r in results), 4),
+        "identical_results": identical,
+    }
 
 
 def run_benchmark(
@@ -114,7 +198,8 @@ def run_benchmark(
         finally:
             gc.enable()
 
-    identical = all(
+    divergence = run_divergence()
+    identical = divergence["identical_results"] and all(
         cell.digest == references[cell.member].digest for cell in shared.cells
     )
     speedup = round(independent_s / bakeoff_s, 2) if bakeoff_s > 0 else None
@@ -168,6 +253,7 @@ def run_benchmark(
             "shared_fraction": round(shared.shared_fraction, 4),
         },
         "cached": cached,
+        "divergence": divergence,
     }
     correct = bool(
         identical
@@ -200,6 +286,13 @@ def test_bakeoff_speedup(benchmark):
     )
 
 
+def divergence_line(d: Dict[str, object]) -> str:
+    return (
+        f"{d['wall_s']}s, {d['forks']} forks ({d['fork_s']}s), "
+        f"{d['merges']} merges, {d['digests']} digests ({d['merge_s']}s)"
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=DEFAULT_REPORT)
@@ -219,6 +312,7 @@ def main() -> int:
         f"\nindependent {report['independent_s']}s | "
         f"bakeoff {report['bakeoff_s']}s | speedup {report['speedup']}x | "
         f"{report['shared_pass']['shared_fraction']:.0%} physics shared | "
+        f"divergence: {divergence_line(report['divergence'])} | "
         f"report -> {args.out}"
     )
     if args.gate is not None and not report.get("gate_passed"):

@@ -458,9 +458,11 @@ def smoke_bakeoff() -> None:
     must reproduce the independent reference runs' digests
     bit-identically through the shared-physics single pass — against
     references run on the default (batched) kernel, which the bake-off
-    branches share, and on the scalar engine, the oracle. A warm re-run
-    against a throwaway disk cache must execute zero shared passes
-    while returning the cold run's digest.
+    branches share, and on the scalar engine, the oracle. So must the
+    four-member default roster over a faulted scenario that forks and
+    re-merges (both counts must be positive). A warm re-run against a
+    throwaway disk cache must execute zero shared passes while
+    returning the cold run's digest.
     """
     import os
     import shutil
@@ -471,15 +473,29 @@ def smoke_bakeoff() -> None:
         BakeoffConfig,
         bakeoff_identity_probe,
         bakeoff_scenario_grid,
+        default_members,
         heracles_member,
         interference_member,
         predictive_member,
         run_bakeoff,
+        run_member_reference,
     )
     from repro.sim.kernel import KERNEL_ENV_VAR
 
     t0 = time.perf_counter()
     saved = os.environ.get(KERNEL_ENV_VAR)
+    # The four-member default roster (Rhythm included) over one faulted
+    # E-commerce scenario that forks and re-merges, so the world
+    # snapshots and the coarse-keyed merge check are under the gate.
+    roster = default_members("E-commerce")
+    faulted = bakeoff_scenario_grid(
+        service="E-commerce",
+        loads=(0.45,),
+        duration_s=60.0,
+        seed=3,
+        faults_per_minute=4.0,
+    )
+    roster_config = BakeoffConfig(duration_s=60.0)
     try:
         for with_faults in (False, True):
             shared = bakeoff_identity_probe(
@@ -494,6 +510,24 @@ def smoke_bakeoff() -> None:
                     raise AssertionError(
                         f"shared bake-off pass diverged from the independent "
                         f"{kernel} reference runs (with_faults={with_faults})"
+                    )
+        os.environ.pop(KERNEL_ENV_VAR, None)
+        diverged = run_bakeoff(faulted, roster, roster_config, cache=None)
+        if not (diverged.forks > 0 and diverged.merges > 0):
+            raise AssertionError(
+                f"default-roster faulted scenario did not fork and merge "
+                f"({diverged.forks} forks, {diverged.merges} merges)"
+            )
+        for kernel in ("batched", "scalar"):
+            os.environ[KERNEL_ENV_VAR] = kernel
+            for cell in diverged.cells:
+                member = next(m for m in roster if m.name == cell.member)
+                solo = run_member_reference(faulted[0], member, roster_config)
+                if cell.digest != solo.digest:
+                    raise AssertionError(
+                        f"default-roster member {cell.member!r} diverged from "
+                        f"its solo {kernel} run after {diverged.forks} forks "
+                        f"and {diverged.merges} merges"
                     )
     finally:
         if saved is None:
@@ -531,7 +565,9 @@ def smoke_bakeoff() -> None:
         raise AssertionError("warm bake-off digest diverged from the cold run")
     print(
         f"smoke bakeoff OK: 3-member roster bit-identical to independent "
-        f"batched and scalar runs, healthy + faulted ({identity_s:.1f}s); "
+        f"batched and scalar runs, healthy + faulted; 4-member default "
+        f"roster faulted ({diverged.forks} forks, {diverged.merges} merges) "
+        f"bit-identical to solo runs ({identity_s:.1f}s); "
         f"cold {cold_s:.1f}s "
         f"-> warm {warm_s:.3f}s, zero shared passes warm"
     )

@@ -87,3 +87,11 @@ class LastLevelCache:
     def step_ways(self, fraction: float = 0.10) -> int:
         """Ways corresponding to one adjustment step (default 10% of LLC)."""
         return max(1, round(fraction * self.n_ways))
+
+    def snapshot(self) -> "LastLevelCache":
+        """An independent copy of the way partitioning."""
+        clone = object.__new__(LastLevelCache)
+        clone.size_mb = self.size_mb
+        clone.n_ways = self.n_ways
+        clone._owned = dict(self._owned)
+        return clone

@@ -89,3 +89,11 @@ class CpuSet:
     def owners(self) -> FrozenSet[str]:
         """Names that currently own at least one core."""
         return frozenset(self._owned)
+
+    def snapshot(self) -> "CpuSet":
+        """An independent copy of the core assignment."""
+        clone = object.__new__(CpuSet)
+        clone._total = self._total
+        clone._free = set(self._free)
+        clone._owned = {owner: set(cores) for owner, cores in self._owned.items()}
+        return clone

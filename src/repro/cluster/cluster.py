@@ -79,3 +79,7 @@ class Cluster:
     def total_be_kills(self) -> int:
         """Cumulative BE kills across the whole cluster."""
         return sum(m.counters.be_kills for m in self)
+
+    def snapshot(self) -> "Cluster":
+        """An independent copy: every machine snapshotted, same order."""
+        return Cluster(machine.snapshot() for machine in self)

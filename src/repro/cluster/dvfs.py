@@ -151,3 +151,11 @@ class DvfsGovernor:
                 f"{mhz} MHz outside [{self.min_mhz}, {self.max_mhz}]"
             )
         self._freq[domain] = int(mhz)
+
+    def snapshot(self) -> "DvfsGovernor":
+        """An independent copy: requested frequencies and caps."""
+        clone = object.__new__(DvfsGovernor)
+        clone.__dict__.update(self.__dict__)
+        clone._freq = dict(self._freq)
+        clone._cap = dict(self._cap)
+        return clone

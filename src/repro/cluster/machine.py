@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.cluster.cache import LastLevelCache
 from repro.cluster.cgroups import CpuSet
@@ -37,6 +37,19 @@ BE_DOMAIN = "be"
 #: eight times the unit roundoff (2**-53) of round-to-nearest float64.
 _ROUNDING = 2.0**-50
 
+#: The :class:`MachineSpec` capacities that must be finite and positive.
+_CAPACITY_FIELDS = (
+    "cores",
+    "llc_mb",
+    "llc_ways",
+    "membw_gbps",
+    "memory_gb",
+    "link_gbps",
+    "tdp_watts",
+    "min_mhz",
+    "max_mhz",
+)
+
 
 @dataclass(frozen=True)
 class MachineSpec:
@@ -58,6 +71,15 @@ class MachineSpec:
     tdp_watts: float = 115.0
     min_mhz: int = 1200
     max_mhz: int = 2000
+
+    def __post_init__(self) -> None:
+        for name in _CAPACITY_FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"machine {self.name!r}: {name} must be finite and "
+                    f"positive, got {value!r}"
+                )
 
     def capacity(self) -> ResourceVector:
         """Total machine capacity as a :class:`ResourceVector`."""
@@ -182,6 +204,12 @@ class Machine:
         """Pin the LC Servpod's cores, LLC ways and memory."""
         if self.cpuset.count(LC_OWNER) or self.llc.ways_of(LC_OWNER):
             raise ConfigurationError(f"{self.spec.name}: LC already reserved")
+        memory_gb = float(memory_gb)
+        if not (math.isfinite(memory_gb) and memory_gb >= 0.0):
+            raise ConfigurationError(
+                f"{self.spec.name}: LC memory must be finite and "
+                f"non-negative, got {memory_gb!r}"
+            )
         if memory_gb > self.spec.memory_gb:
             raise AllocationError(
                 f"{self.spec.name}: LC wants {memory_gb} GB, "
@@ -189,7 +217,7 @@ class Machine:
             )
         self.cpuset.allocate(LC_OWNER, cores)
         self.llc.allocate(LC_OWNER, llc_ways)
-        self._lc_memory_gb = float(memory_gb)
+        self._lc_memory_gb = memory_gb
 
     @property
     def lc_cores(self) -> int:
@@ -382,6 +410,37 @@ class Machine:
         self.mem_version += 1
         return True
 
+    def grow_be_memory_toward(self, targets: Iterable[Tuple[str, float]]) -> int:
+        """One 100 MB step for every placed job still below its target.
+
+        ``targets`` holds ``(job_id, target_gb)`` pairs in the order the
+        steps are taken. Equivalent to :meth:`grow_be_memory` on each
+        placed job whose memory is below ``target_gb`` — the same float
+        additions in the same order, the same fits verdicts, one
+        ``mem_version`` bump per granted step — without a method call
+        per step. The scan stops at the first step that does not fit:
+        nothing moved, so no later step can fit either. Returns how many
+        steps were granted.
+        """
+        be = self._be
+        step = self.be_memory_step_gb
+        grown = 0
+        for job_id, target_gb in targets:
+            alloc = be.get(job_id)
+            if alloc is None or not alloc.memory_gb < target_gb:
+                continue
+            fits = self._memory_fits(step)
+            if fits is None:
+                fits = not self.free_memory_gb < step
+            if not fits:
+                break
+            old = alloc.memory_gb
+            alloc.memory_gb = old + step
+            self._memory_moved(old, alloc.memory_gb)
+            grown += 1
+        self.mem_version += grown
+        return grown
+
     def shrink_be_memory(self, job_id: str) -> bool:
         """Take one 100 MB memory step back (not below the initial 2 GB)."""
         alloc = self._require(job_id)
@@ -528,6 +587,32 @@ class Machine:
             busy_cores_be=be_busy_cores,
             freq_ratio_be=self.dvfs.ratio(BE_DOMAIN),
         )
+
+    # -- forking ----------------------------------------------------------
+
+    def snapshot(self) -> "Machine":
+        """An independent copy of this machine, equal to ``copy.deepcopy``.
+
+        The frozen spec and power model are shared; the allocation
+        records, counters, incremental BE totals, cpuset/CAT books and
+        DVFS/NIC state are copied. A copied allocation is reachable only
+        through the copy's ``_be``, as in a deep copy.
+        """
+        clone = object.__new__(Machine)
+        clone.__dict__.update(self.__dict__)
+        clone.cpuset = self.cpuset.snapshot()
+        clone.llc = self.llc.snapshot()
+        clone.dvfs = self.dvfs.snapshot()
+        clone.nic = self.nic.snapshot()
+        c = self.counters
+        clone.counters = MachineCounters(c.be_kills, c.be_suspensions, c.be_launches)
+        clone._be = {
+            job_id: BeAllocation(
+                job_id, a.cores, a.llc_ways, a.memory_gb, a.suspended
+            )
+            for job_id, a in self._be.items()
+        }
+        return clone
 
     # -- internals --------------------------------------------------------
 

@@ -119,3 +119,9 @@ class Nic:
         the pressure is the granted BE share as a fraction of capacity.
         """
         return self.be_share(be_demand_gbps) / self.effective_link_gbps
+
+    def snapshot(self) -> "Nic":
+        """An independent copy (the NIC's state is all scalars)."""
+        clone = object.__new__(Nic)
+        clone.__dict__.update(self.__dict__)
+        return clone

@@ -87,6 +87,22 @@ class ServpodDeployment:
         """The deployment's machines, in Servpod declaration order."""
         return [self.servpods[name].machine for name in self.service.servpod_names]
 
+    def snapshot(self) -> "ServpodDeployment":
+        """An independent copy of the deployed machines.
+
+        Servpod specs are shared; each Servpod is bound to its machine's
+        snapshot in the copied cluster.
+        """
+        cluster = self.cluster.snapshot()
+        return ServpodDeployment(
+            service=self.service,
+            cluster=cluster,
+            servpods={
+                name: Servpod(spec=pod.spec, machine=cluster[pod.machine.spec.name])
+                for name, pod in self.servpods.items()
+            },
+        )
+
 
 def deploy_service(
     service: ServiceSpec,

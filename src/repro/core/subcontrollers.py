@@ -98,6 +98,39 @@ class BeJobPool:
         self._live.clear()
         return n
 
+    def snapshot(self) -> "BeJobPool":
+        """An independent copy of the pool, equal to ``copy.deepcopy``.
+
+        Live jobs are copied. Killed jobs are shared: :meth:`BeJob.kill`
+        leaves a job that nothing mutates again, and no killed job is
+        ever live. The spec cycle is rebuilt at the same position
+        (``_counter`` jobs drawn so far).
+        """
+        clone = object.__new__(BeJobPool)
+        clone.__dict__.update(self.__dict__)
+        specs = list(self.specs)
+        clone.specs = specs
+        cycle = itertools.cycle(specs)
+        for _ in range(self._counter % len(specs)):
+            next(cycle)
+        clone._spec_cycle = cycle
+        live = {
+            job_id: BeJob(
+                job_id,
+                job.spec,
+                job.state,
+                job.machine_name,
+                job.normalized_work,
+                job.running_seconds,
+            )
+            for job_id, job in self._live.items()
+        }
+        clone._live = live
+        # Updating an existing key keeps its (creation-order) position.
+        clone._jobs = dict(self._jobs)
+        clone._jobs.update(live)
+        return clone
+
 
 class CpuLlcSubcontroller:
     """Core + LLC allocation, one core / 10% LLC at a time.
@@ -231,10 +264,9 @@ class MemorySubcontroller:
     def apply(self, action: BeAction, machine: Machine, pool: BeJobPool) -> None:
         """Grow/shrink each BE job's memory one step, per the action."""
         if action == BeAction.ALLOW_BE_GROWTH:
-            for job in pool.running():
-                alloc = machine.be_allocation(job.job_id)
-                if alloc is not None and alloc.memory_gb < job.spec.memory_gb:
-                    machine.grow_be_memory(job.job_id)
+            machine.grow_be_memory_toward(
+                [(job.job_id, job.spec.memory_gb) for job in pool.running()]
+            )
         elif action == BeAction.CUT_BE:
             for job in pool.running():
                 if machine.be_allocation(job.job_id) is not None:

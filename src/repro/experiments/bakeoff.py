@@ -472,6 +472,11 @@ class BakeoffResult:
     #: independent-runs sweep of the same pending cells would cost.
     branch_ticks: int = 0
     member_ticks: int = 0
+    #: Merge-check world digests built, and wall seconds spent forking
+    #: worlds and checking for merges (see :class:`BakeoffStats`).
+    digests: int = 0
+    fork_s: float = 0.0
+    merge_s: float = 0.0
 
     @property
     def shared_fraction(self) -> float:
@@ -619,6 +624,9 @@ def run_bakeoff(
             result.merges += kernel.stats.merges
             result.branch_ticks += kernel.stats.branch_ticks
             result.member_ticks += kernel.stats.ticks * len(pending)
+            result.digests += kernel.stats.digests
+            result.fork_s += kernel.stats.fork_s
+            result.merge_s += kernel.stats.merge_s
             for member in pending:
                 summary = _summarise(
                     scenario,

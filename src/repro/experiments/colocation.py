@@ -245,6 +245,46 @@ class ColocationExperiment:
         # ALLOW decisions in SLA-violating zones.
         self.action_filter: Optional[Callable[[str, BeAction], BeAction]] = None
 
+    # -- forking -------------------------------------------------------------
+
+    def fork(self) -> "ColocationExperiment":
+        """A copy of this experiment's mutable world, for a bake-off branch.
+
+        Copied through each object's ``snapshot()``: machines (with the
+        cluster and Servpod bindings), BE pools, RNG streams, the load
+        generator, the fault injector and the tail estimator. The
+        service sampler and the load generator are rebound to the
+        copied streams, the fault injector to the copied cluster —
+        the aliasing a deep copy keeps. The read-only scenario — specs,
+        load pattern, config and fault schedule, the stateless
+        subcontrollers — is shared, and so are this experiment's own
+        controllers and per-pod metrics: a bake-off branch decides
+        with its members' controllers and records into their metrics.
+        """
+        clone = object.__new__(ColocationExperiment)
+        clone.__dict__.update(self.__dict__)
+        clone.controllers = dict(self.controllers)
+        clone.be_specs = list(self.be_specs)
+        streams = self.streams.snapshot()
+        clone.streams = streams
+        clone.service = self.service.snapshot(streams)
+        deployment = self.deployment.snapshot()
+        clone.deployment = deployment
+        clone._generator = self._generator.snapshot(
+            streams.stream("colocation:arrivals")
+        )
+        if self._tail_estimator is not None:
+            clone._tail_estimator = self._tail_estimator.snapshot()
+        if self._fault_injector is not None:
+            clone._fault_injector = self._fault_injector.snapshot(
+                deployment.cluster
+            )
+        clone._runs = {
+            pod: replace(run, pool=run.pool.snapshot())
+            for pod, run in self._runs.items()
+        }
+        return clone
+
     # -- the control loop ----------------------------------------------------
 
     def run(self) -> ColocationResult:

@@ -127,6 +127,23 @@ class ClusterFaultInjector:
             due = min(due, self._pending[self._next][1].at_s)
         return due
 
+    def snapshot(self, cluster: Cluster) -> "ClusterFaultInjector":
+        """A copy of the injector's progress, acting on ``cluster``.
+
+        ``cluster`` is the snapshot of this injector's cluster. The
+        schedule and the expanded pending list are read-only and
+        shared; the taken-units book, the active set and the event log
+        are copied (their entries are immutable). The fault specs must
+        stay shared: the taken-units book is keyed by their ids.
+        """
+        clone = object.__new__(ClusterFaultInjector)
+        clone.__dict__.update(self.__dict__)
+        clone.cluster = cluster
+        clone._taken = dict(self._taken)
+        clone._active = list(self._active)
+        clone.events = list(self.events)
+        return clone
+
     # -- observation hooks (read by the co-location loop) ------------------
 
     def effects(self, machine_name: str) -> Tuple[float, bool, float]:

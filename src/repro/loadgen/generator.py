@@ -62,6 +62,13 @@ class WindowLoadGenerator:
         self.min_samples = int(min_samples)
         self.burst_sigma = float(burst_sigma)
 
+    def snapshot(self, rng: np.random.Generator) -> "WindowLoadGenerator":
+        """A copy drawing from ``rng`` (the forked registry's arrival stream)."""
+        clone = object.__new__(WindowLoadGenerator)
+        clone.__dict__.update(self.__dict__)
+        clone.rng = rng
+        return clone
+
     def window(self, t_start: float, duration_s: float) -> WindowArrivals:
         """Arrivals for the window starting at ``t_start``.
 

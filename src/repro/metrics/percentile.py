@@ -258,6 +258,14 @@ class HistogramTailTracker:
         if top > self._window_max:
             self._window_max = top
 
+    def snapshot(self) -> "HistogramTailTracker":
+        """An independent copy: open-window bins and closed-window tails."""
+        clone = object.__new__(HistogramTailTracker)
+        clone.__dict__.update(self.__dict__)
+        clone._counts = self._counts.copy()
+        clone._per_window = list(self._per_window)
+        return clone
+
     def _window_quantile(self) -> float:
         # Nearest-rank within the histogram: the smallest bin whose
         # cumulative count covers pct% of the window.

@@ -29,9 +29,11 @@ and drains whole ticks with vectorized operations:
 - :class:`BakeoffKernel` races several controller sets over one seeded
   scenario: each branch world ticks through a one-instance fleet
   kernel, members decide between its observe and act halves, and
-  diverging members fork the world. The kernel holds the BE DVFS
-  request and NIC caps in its own columns, so the world objects are
-  synced before any fork or world digest reads them.
+  diverging members fork the world through explicit snapshots, and
+  re-converged branches merge after a coarse-keyed digest check. The
+  kernel holds the BE DVFS request and NIC caps in its own columns, so
+  the world objects are synced before any fork or world digest reads
+  them.
 
 Identity pinning
 ----------------
@@ -58,10 +60,10 @@ the sharing).
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import os
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -72,7 +74,7 @@ from repro.bejobs.job import (
     BeJobState,
     BeResourceSnapshot,
 )
-from repro.cluster.machine import BE_DOMAIN, LC_DOMAIN, Machine
+from repro.cluster.machine import BE_DOMAIN, FAULT_OWNER, LC_DOMAIN, Machine
 from repro.core.actions import BeAction
 from repro.errors import ConfigurationError
 from repro.interference.sensitivity import PRESSURE_KINDS
@@ -1116,7 +1118,7 @@ class FleetColocationKernel:
         Writes SoA BE progress into the ``BeJob`` objects, the BE DVFS
         request into each ``DvfsGovernor`` and this tick's LC traffic
         into each NIC (which recomputes its BE cap) — the state a
-        deep copy or a world digest reads. Idempotent.
+        world fork or a world digest reads. Idempotent.
         """
         net = self._last_net
         for m in range(self._n_machines):
@@ -1128,6 +1130,14 @@ class FleetColocationKernel:
                 machine.dvfs.set_frequency(BE_DOMAIN, self._freq[m])
             if net is not None:
                 machine.nic.observe_lc_traffic(net[m])
+
+    def be_frequency(self, m: int) -> int:
+        """Machine ``m``'s effective BE frequency in MHz: the kernel's
+        request clamped by any fault cap — what the machine's
+        ``DvfsGovernor`` reports after :meth:`sync_world`."""
+        f = self._freq[m]
+        cap = self._f_cap_l[m]
+        return cap if cap < f else f
 
     def _refresh_faults(self, i: int) -> None:
         """Reload instance ``i``'s fault columns after a transition.
@@ -1832,6 +1842,11 @@ class BakeoffStats:
     forks: int = 0
     merges: int = 0
     max_branches: int = 0
+    #: Full world digests built by the merge check.
+    digests: int = 0
+    #: Wall seconds spent forking worlds and checking for merges.
+    fork_s: float = 0.0
+    merge_s: float = 0.0
 
     @property
     def physics_passes_saved(self) -> int:
@@ -1924,12 +1939,15 @@ class BakeoffKernel:
     branch. Members decide on the shared observation and record their
     own metrics; their action vectors are then normalised through the
     branch kernel's no-op memo and partitioned. One partition keeps the
-    branch; each additional partition **forks** a copy-on-write world
-    (``copy.deepcopy`` of the experiment: machine state, pools, RNG
-    streams, fault injector) with its own kernel, and each partition
-    runs the :meth:`~FleetColocationKernel.act` half — memoized applies
-    plus the frequency step — on its own world. So the cost of
-    divergence is paid only when decisions actually differ in effect.
+    branch; each additional partition **forks** a world of its own
+    (:meth:`ColocationExperiment.fork`: explicit ``snapshot()`` copies
+    of the machines, BE pools, RNG streams, load generator, fault
+    injector and tail estimator, with the read-only scenario shared)
+    with its own kernel, and each partition runs the
+    :meth:`~FleetColocationKernel.act` half — memoized applies plus the
+    frequency step — on its own world. So the cost of divergence is
+    paid only when decisions actually differ in effect, and a fork
+    copies only state a branch can mutate.
 
     The kernel holds BE DVFS requests and NIC caps in its own columns,
     so the world objects are synced
@@ -1943,7 +1961,12 @@ class BakeoffKernel:
     equal, and branches whose worlds re-converge — same live jobs, same
     allocations and float progress, same DVFS/NIC state — are detected
     by a state digest and **re-merged**, with per-member integer
-    kill/suspension counters virtualised via exact offsets.
+    kill/suspension counters virtualised via exact offsets. Each tick
+    with several branches groups them by a cheap coarse key first
+    (per pod: live jobs, free and fault-held cores and ways, LC/BE
+    frequency, the first live job's progress — every field also a
+    digest field, so no merge is missed) and builds the full digest
+    only for branches that share a key, once each.
 
     Identity contract: for every member, the returned
     ``ColocationResult`` and the final RNG stream states are
@@ -1993,7 +2016,7 @@ class BakeoffKernel:
             }
             self._members.append(_BakeoffMember(name, dict(controllers), metrics))
         # Kernels live on branches, never on the experiment, so world
-        # forks do not deepcopy SoA state.
+        # forks do not copy SoA state.
         self._branches: List[_BakeoffBranch] = [
             _BakeoffBranch(
                 experiment,
@@ -2127,76 +2150,93 @@ class BakeoffKernel:
                 fork.kernel.act(self._members[group[0]].actions)
         kernel.act(self._members[branch.members[0]].actions)
 
-    # -- copy-on-write world forking --------------------------------------
-
-    def _scenario_shared_state(self, exp) -> List[object]:
-        """The scenario objects every branch may share by reference.
-
-        A fork must duplicate exactly the state a branch can *mutate*:
-        machine/cluster state, BE pools, RNG streams, the load
-        generator, the fault injector, tail estimators. Everything else
-        about the scenario is decision-independent and read-only for
-        the whole run — the frozen service/BE specs, the load pattern,
-        the config (and its fault schedule), the stateless
-        subcontrollers, and the experiment's own controllers (the
-        bake-off consults only *member* controllers, never the
-        scenario experiment's; enforced by every member carrying a
-        fresh ``build_controllers`` set). Sharing these turns the fork
-        deep-copy into a copy-on-write snapshot of just the mutable
-        world, which is what lets the engine win even on
-        high-divergence rosters (see ``bench_bakeoff.py``).
-        """
-        shared: List[object] = [
-            exp.spec,
-            exp.pattern,
-            exp.config,
-            exp._cpu_llc,
-            exp._frequency,
-            exp._memory,
-            exp._network,
-        ]
-        if exp.config.faults is not None:
-            shared.append(exp.config.faults)
-            shared.extend(exp.config.faults.faults)
-        shared.extend(exp.be_specs)
-        shared.extend(exp.controllers.values())
-        return shared
-
+    # -- world forking ----------------------------------------------------
 
     def _fork(self, branch: _BakeoffBranch, group: List[int]) -> _BakeoffBranch:
         """Clone ``branch``'s (synced) world for a diverging member partition.
 
-        The deep copy is seeded with a memo mapping every shared
-        scenario object to itself (:meth:`_scenario_shared_state`), so
-        only the mutable world state is duplicated. Kernels live on
-        branches, not experiments, so no SoA state is copied either:
-        :meth:`FleetColocationKernel.fork` builds the clone's kernel
-        from the clone's world (DVFS request, fault columns, job rows)
-        plus copies of the parent kernel's memo sets.
+        :meth:`ColocationExperiment.fork` snapshots exactly the state a
+        branch can mutate and shares the read-only scenario. Kernels
+        live on branches, not experiments, so no SoA state is copied
+        either: :meth:`FleetColocationKernel.fork` builds the clone's
+        kernel from the clone's world (DVFS request, fault columns, job
+        rows) plus copies of the parent kernel's memo sets.
         """
+        t0 = time.perf_counter()
         self.stats.forks += 1
-        exp = branch.exp
-        memo: Dict[int, object] = {
-            id(obj): obj for obj in self._scenario_shared_state(exp)
-        }
-        clone = copy.deepcopy(exp, memo)
-        return _BakeoffBranch(clone, branch.kernel.fork(clone), group)
+        clone = branch.exp.fork()
+        fork = _BakeoffBranch(clone, branch.kernel.fork(clone), group)
+        self.stats.fork_s += time.perf_counter() - t0
+        return fork
 
     # -- re-merge detection ---------------------------------------------
 
+    def _coarse_key(self, branch: _BakeoffBranch) -> Tuple:
+        """A cheap necessary condition for two branches to merge.
+
+        Per pod: live-job count, free cores and LLC ways, fault-held
+        cores and ways, the LC and BE frequencies, and the first live
+        job's progress. Every field is also a field of
+        :func:`_world_digest` (the BE frequency read from the kernel's
+        column equals the synced governor's; progress is flushed to the
+        job objects first, as :meth:`~FleetColocationKernel.sync_world`
+        would), so equal digests imply equal keys and grouping by key
+        first misses no merge.
+        """
+        kernel = branch.kernel
+        key = []
+        for m, run in enumerate(branch.exp._runs.values()):
+            machine = kernel._m_mach[m]
+            cpuset = machine.cpuset
+            llc = machine.llc
+            live = run.pool._live
+            progress = None
+            if live:
+                kernel._flush_row(m)
+                progress = next(iter(live.values())).normalized_work.hex()
+            key.append(
+                (
+                    len(live),
+                    cpuset.free_cores,
+                    llc.free_ways,
+                    cpuset.count(FAULT_OWNER),
+                    llc.ways_of(FAULT_OWNER),
+                    machine.dvfs.frequency(LC_DOMAIN),
+                    kernel.be_frequency(m),
+                    progress,
+                )
+            )
+        return tuple(key)
+
     def _try_merge(self) -> None:
-        """Collapse branches whose forward-relevant state re-converged."""
+        """Collapse branches whose forward-relevant state re-converged.
+
+        Branches are grouped by :meth:`_coarse_key` first; only those
+        sharing a key are synced and digested, each once. Within a
+        digest group the earliest branch survives and absorbs the
+        others' members.
+        """
+        t0 = time.perf_counter()
+        keys = [self._coarse_key(branch) for branch in self._branches]
+        sizes: Dict[Tuple, int] = {}
+        for key in keys:
+            sizes[key] = sizes.get(key, 0) + 1
+        if len(sizes) < len(keys):
+            self._merge_digest_groups(
+                [b for b, key in zip(self._branches, keys) if sizes[key] > 1]
+            )
+        self.stats.merge_s += time.perf_counter() - t0
+
+    def _merge_digest_groups(self, candidates: List[_BakeoffBranch]) -> None:
+        """Merge the ``candidates`` (in branch order) whose digests agree."""
         by_digest: Dict[Tuple, List[_BakeoffBranch]] = {}
-        for branch in self._branches:
+        for branch in candidates:
             branch.kernel.sync_world()
+            self.stats.digests += 1
             by_digest.setdefault(_world_digest(branch.exp), []).append(branch)
-        if len(by_digest) == len(self._branches):
+        if len(by_digest) == len(candidates):
             return
-        survivors: List[_BakeoffBranch] = []
-        for branch in self._branches:
-            group = by_digest.get(_world_digest(branch.exp))
-            if group is None or group[0] is branch:
-                survivors.append(branch)
+        merged = set()
         for group in by_digest.values():
             keep = group[0]
             k_kills = keep.exp.deployment.cluster.total_be_kills
@@ -2214,9 +2254,10 @@ class BakeoffKernel:
                     member.kill_offset += o_kills - k_kills
                     member.susp_offset += o_susp - k_susp
                 keep.members.extend(other.members)
+                merged.add(id(other))
                 self.stats.merges += 1
             keep.members.sort()
-        self._branches = survivors
+        self._branches = [b for b in self._branches if id(b) not in merged]
 
     # -- results --------------------------------------------------------
 
@@ -2265,15 +2306,18 @@ def _world_digest(exp: "ColocationExperiment") -> Tuple:
     exact bits, allocation) rather than by id: job ids never enter
     physics or results. The spec-cycle position IS included — with a
     multi-spec BE mix it determines which spec the next launch gets.
-    Everything float is compared via ``float.hex`` (bitwise).
+    Everything float is compared via ``float.hex`` (bitwise); each RNG
+    stream by its PCG64 integer state. The world must be synced
+    (:meth:`FleetColocationKernel.sync_world`) first.
     """
     pods_state = []
     for pod, run in exp._runs.items():
         machine = exp.deployment.servpod(pod).machine
         pool = run.pool
+        allocs = machine._be
         jobs = []
-        for job in pool.jobs():
-            alloc = machine.be_allocation(job.job_id)
+        for job in pool._live.values():
+            alloc = allocs.get(job.job_id)
             jobs.append(
                 (
                     job.spec.name,
@@ -2290,26 +2334,32 @@ def _world_digest(exp: "ColocationExperiment") -> Tuple:
                     ),
                 )
             )
+        dvfs = machine.dvfs
+        nic = machine.nic
         pods_state.append(
             (
                 pod,
                 tuple(jobs),
                 float(pool.total_normalized_work).hex(),
                 pool._counter % len(pool.specs),
-                machine.dvfs.frequency(LC_DOMAIN),
-                machine.dvfs.frequency(BE_DOMAIN),
-                machine.dvfs.cap(LC_DOMAIN),
-                machine.dvfs.cap(BE_DOMAIN),
-                machine.nic.be_cap_gbps.hex(),
-                machine.nic.link_scale.hex(),
+                dvfs.frequency(LC_DOMAIN),
+                dvfs.frequency(BE_DOMAIN),
+                dvfs.cap(LC_DOMAIN),
+                dvfs.cap(BE_DOMAIN),
+                nic.be_cap_gbps.hex(),
+                nic.link_scale.hex(),
                 machine.offlined_cores,
                 machine.lost_llc_ways,
                 machine.cpuset.free_cores,
                 machine.llc.free_ways,
             )
         )
-    rng = tuple(
-        (name, repr(exp.streams._streams[name].bit_generator.state))
-        for name in sorted(exp.streams._streams)
-    )
-    return (tuple(pods_state), rng)
+    rng = []
+    streams = exp.streams._streams
+    for name in sorted(streams):
+        state = streams[name].bit_generator.state
+        pcg = state["state"]
+        rng.append(
+            (name, pcg["state"], pcg["inc"], state["has_uint32"], state["uinteger"])
+        )
+    return (tuple(pods_state), tuple(rng))

@@ -56,6 +56,22 @@ class RandomStreams:
         """
         return RandomStreams(_derive_seed(self._seed, f"spawn:{name}"))
 
+    def snapshot(self) -> "RandomStreams":
+        """An independent copy: every stream continues from its current state.
+
+        Each copied generator gets a fresh bit generator of the same
+        type, built from the source's (shared) seed sequence — cheap,
+        and no OS entropy — and then set to the source's exact state.
+        """
+        clone = RandomStreams(self._seed)
+        streams = clone._streams
+        for name, gen in self._streams.items():
+            bits = gen.bit_generator
+            copied = type(bits)(bits.seed_seq)
+            copied.state = bits.state
+            streams[name] = np.random.Generator(copied)
+        return clone
+
     def __contains__(self, name: str) -> bool:
         return name in self._streams
 

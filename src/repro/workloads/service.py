@@ -77,6 +77,16 @@ class Service:
             for pod in spec.servpods
         }
 
+    def snapshot(self, streams: RandomStreams) -> "Service":
+        """A copy of this sampler drawing from ``streams``.
+
+        The spec and the per-pod lookup tables are read-only and shared.
+        """
+        clone = object.__new__(Service)
+        clone.__dict__.update(self.__dict__)
+        clone.streams = streams
+        return clone
+
     # -- latency sampling -----------------------------------------------
 
     def sample_e2e(

@@ -32,6 +32,46 @@ class TestLcReservation:
             m.reserve_lc(cores=1, llc_ways=1, memory_gb=10_000.0)
 
 
+class TestCapacityValidation:
+    """Nonsense capacities and LC reservations fail loudly, with typed errors."""
+
+    @pytest.mark.parametrize(
+        "memory_gb", [-50.0, -1e-9, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_bad_lc_memory_rejected(self, memory_gb):
+        m = Machine(MachineSpec(name="m0"))
+        with pytest.raises(ConfigurationError):
+            m.reserve_lc(1, 1, memory_gb)
+        # Nothing was reserved: the LC can still be placed properly.
+        assert m.lc_cores == 0 and m.free_memory_gb == m.spec.memory_gb
+        m.reserve_lc(1, 1, 8.0)
+        assert m.free_memory_gb == m.spec.memory_gb - 8.0
+
+    def test_zero_lc_memory_accepted(self):
+        m = Machine(MachineSpec(name="m0"))
+        m.reserve_lc(1, 1, 0.0)
+        assert m.lc_memory_gb == 0.0
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "cores",
+            "llc_mb",
+            "llc_ways",
+            "membw_gbps",
+            "memory_gb",
+            "link_gbps",
+            "tdp_watts",
+            "min_mhz",
+            "max_mhz",
+        ],
+    )
+    @pytest.mark.parametrize("value", [0, -1, float("nan"), float("inf")], ids=repr)
+    def test_bad_spec_capacity_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            MachineSpec(name="m0", **{field: value})
+
+
 class TestBeSizingValidation:
     """Bad BE sizing fails at construction, not deep inside a run."""
 
@@ -157,6 +197,59 @@ class TestBeLifecycle:
         machine.dvfs.set_frequency(BE_DOMAIN, 1200)
         throttled = machine.power_watts(lc_busy_cores=10, be_busy_cores=10)
         assert throttled < full
+
+
+class TestGrowMemoryToward:
+    """The batched memory step equals one ``grow_be_memory`` per eligible job."""
+
+    @staticmethod
+    def _state(machine):
+        return (
+            [(j, a.memory_gb.hex()) for j, a in machine._be.items()],
+            machine.mem_version,
+            machine._be_mem_est.hex(),
+            machine._be_mem_err.hex(),
+            machine.free_memory_gb.hex(),
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_one_call_per_job(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        machine = Machine(
+            MachineSpec(name="m0", memory_gb=rng.choice([20.0, 24.0, 40.0])),
+            be_memory_step_gb=rng.choice([0.1, 0.3, 1.0]),
+        )
+        machine.reserve_lc(4, 4, rng.uniform(0.0, 16.0))
+        ids = [f"j{k}" for k in range(16)]
+        refused = 0
+        for _ in range(80):
+            for job_id in rng.sample(ids, 3):
+                if job_id in machine._be:
+                    if rng.random() < 0.3:
+                        machine.kill_be(job_id)
+                    else:
+                        machine.shrink_be_memory(job_id)
+                elif machine.can_launch_be():
+                    machine.launch_be(job_id)
+            targets = [
+                (job_id, rng.uniform(1.0, 10.0))
+                for job_id in rng.sample(ids, rng.randint(0, len(ids)))
+            ]
+            twin = machine.snapshot()
+            grown = machine.grow_be_memory_toward(targets)
+            expected = 0
+            for job_id, target_gb in targets:
+                alloc = twin.be_allocation(job_id)
+                if alloc is not None and alloc.memory_gb < target_gb:
+                    if twin.grow_be_memory(job_id):
+                        expected += 1
+                    else:
+                        refused += 1
+            assert grown == expected
+            assert self._state(machine) == self._state(twin)
+        assert refused, "capacity never ran out: the edge went untested"
 
 
 class TestCluster:
